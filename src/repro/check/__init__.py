@@ -13,8 +13,10 @@ mechanically instead of sampling them:
   backtrack seeding) checked for equivalence against the exhaustive
   mode.
 * :mod:`repro.check.scenarios` holds the workload shapes the checker
-  explores — contended lock, shared counter, sense-reversing barrier,
-  MCS queue hand-off — each with its own oracles and seeded mutations.
+  explores — any registered lock run for real, shared counter,
+  sense-reversing barrier — each with its own oracles and seeded
+  mutations; :mod:`repro.check.lockwatch` observes and filters the real
+  locks' op streams for the lock-specific oracles and mutations.
 * :mod:`repro.check.oracles` holds the pluggable invariant checks: SWMR,
   data-value coherence, mutual exclusion, exactly-once hand-off, FIFO
   hand-off order under queue retention, and progress under the paper's

@@ -68,8 +68,8 @@ from repro.check.oracles import (
     Violation,
 )
 from repro.check.scenarios import build_scenario, install_mutation
+from repro.core.registry import get_primitive
 from repro.engine.simulator import SimulationError
-from repro.harness.experiment import PRIMITIVES
 from repro.telemetry.tracer import TraceDispatcher
 
 
@@ -325,7 +325,7 @@ def run_once(
     system = built.system
     install_mutation(spec.mutation, system, built.workload)
 
-    policy, _ = PRIMITIVES[spec.primitive]
+    policy = get_primitive(spec.primitive).policy
     retention = policy.endswith("+retention") or policy == "qolb"
     handoff_oracle = HandoffOracle(
         system, built.workload.handoff_lines(system), fifo=retention

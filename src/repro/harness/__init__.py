@@ -1,6 +1,6 @@
 """Experiment harness: configuration, system builder, runners, tables."""
 
-from repro.harness.cache import ResultCache, default_cache_dir, stable_hash
+from repro.harness.cache import ResultCache, default_cache_dir
 from repro.harness.config import SystemConfig, table1_rows
 from repro.harness.diagram import render_sequence_diagram
 from repro.harness.experiment import (
@@ -34,7 +34,6 @@ from repro.harness.tables import (
 )
 from repro.harness.traces import (
     ScenarioResult,
-    TraceEvent,
     TraceRecorder,
     figure2_scenario,
     figure3_scenario,
@@ -55,11 +54,9 @@ __all__ = [
     "System",
     "SystemConfig",
     "Table3Row",
-    "TraceEvent",
     "TraceRecorder",
     "default_cache_dir",
     "run_cells",
-    "stable_hash",
     "figure2_scenario",
     "figure3_scenario",
     "figure4_scenario",

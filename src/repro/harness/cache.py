@@ -30,16 +30,14 @@ from typing import Any, Optional
 
 import repro
 from repro.harness.experiment import RunResult
-from repro.telemetry.manifest import RunManifest, canonical, stable_hash
+from repro.telemetry.manifest import RunManifest, stable_hash
 
 __all__ = [
     "ENTRY_SCHEMA",
     "ResultCache",
-    "canonical",
     "default_cache_dir",
     "result_from_dict",
     "result_to_dict",
-    "stable_hash",
 ]
 
 #: Schema version of the stored entries; bump on RunResult shape changes.
@@ -53,10 +51,6 @@ def default_cache_dir() -> pathlib.Path:
     if env:
         return pathlib.Path(env)
     return pathlib.Path.home() / ".cache" / "repro-iqolb"
-
-
-# canonical() and stable_hash() live in repro.telemetry.manifest (shared
-# with run manifests) and are re-exported here for backwards compatibility.
 
 
 def result_to_dict(result: RunResult) -> dict:

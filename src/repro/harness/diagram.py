@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.harness.traces import TraceEvent, TraceRecorder
+from repro.harness.traces import TraceRecorder
+from repro.telemetry import TelemetryEvent
 
 #: event kind -> short label template (info fields in {braces})
 _LABELS: Dict[str, str] = {
@@ -52,7 +53,7 @@ _LABELS: Dict[str, str] = {
 }
 
 
-def _label(event: TraceEvent) -> str:
+def _label(event: TelemetryEvent) -> str:
     template = _LABELS.get(event.kind)
     if template is None:
         if event.kind.startswith("bus:"):

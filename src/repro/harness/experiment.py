@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.registry import PRIMITIVE_SPECS, get_primitive
 from repro.harness.config import SystemConfig
@@ -78,7 +78,6 @@ def run_workload(
     workload: Workload,
     config: SystemConfig,
     primitive: str = "tts",
-    tracer: Optional[Callable[..., None]] = None,
     verify: bool = True,
     telemetry: Optional[Any] = None,
 ) -> RunResult:
@@ -93,7 +92,7 @@ def run_workload(
     start = time.perf_counter()
     policy, _lock_kind = primitive_pair(primitive)
     run_config = config.with_(policy=policy)
-    system = System(run_config, tracer=tracer)
+    system = System(run_config)
     if telemetry is not None:
         system.attach_telemetry(telemetry)
     workload.build(system)

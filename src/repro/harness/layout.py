@@ -20,6 +20,7 @@ class MemoryLayout:
         self.amap = amap
         if base % amap.line_bytes:
             raise ValueError("layout base must be line-aligned")
+        self.base = base
         self._next = base
 
     def alloc_word(self) -> int:
@@ -56,6 +57,10 @@ class MemoryLayout:
         addrs = [self._next + i * WORD_BYTES for i in range(n_words)]
         self._next += n_words * WORD_BYTES
         return addrs
+
+    def allocated_lines(self) -> List[int]:
+        """Every line handed out so far, in allocation order."""
+        return list(range(self.base, self._next, self.amap.line_bytes))
 
     def _align_to_line(self) -> None:
         line = self.amap.line_bytes

@@ -12,7 +12,7 @@ This is the top-level object most users touch::
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.coherence.controller import CacheController
 from repro.core.registry import make_interconnect, make_policy
@@ -32,11 +32,7 @@ from repro.mem.mainmemory import MainMemory
 class System:
     """A simulated bus-based shared-memory multiprocessor."""
 
-    def __init__(
-        self,
-        config: Optional[SystemConfig] = None,
-        tracer: Optional[Callable[..., None]] = None,
-    ) -> None:
+    def __init__(self, config: Optional[SystemConfig] = None) -> None:
         self.config = config if config is not None else SystemConfig()
         cfg = self.config
         self.sim = Simulator(max_cycles=cfg.max_cycles, engine=cfg.engine)
@@ -87,7 +83,6 @@ class System:
                 self.crossbar,
                 policy,
             )
-            controller.tracer = tracer
             self.bus.attach(node_id, controller)
             self.crossbar.attach(node_id, controller.on_data)
             processor = Processor(

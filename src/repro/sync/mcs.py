@@ -17,7 +17,6 @@ from __future__ import annotations
 from repro.mem.address import WORD_BYTES
 from repro.sync import qcore
 from repro.sync.primitives import Lock, synthetic_pc
-from repro.sync.qcore import SPIN_PAUSE  # noqa: F401  (re-export: scenarios)
 
 FLAG_OFFSET = 0
 NEXT_OFFSET = WORD_BYTES

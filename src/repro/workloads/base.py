@@ -109,10 +109,12 @@ class _ReciprocatingAdapter:
     acquire to release, per thread; nodes are immediately reusable."""
 
     def __init__(self, system: System, n_threads: int) -> None:
-        layout = system.layout
-        self.lock = ReciprocatingLock(layout.alloc_line())
-        self._nodes = [layout.alloc_line() for _ in range(n_threads)]
+        self.lock = ReciprocatingLock(system.layout.alloc_line())
+        self._nodes: List[int] = []
         self._held: Dict[int, tuple] = {}
+
+    def finish(self, system: System, n_threads: int) -> None:
+        self._nodes = [system.layout.alloc_line() for _ in range(n_threads)]
 
     def acquire(self, tid: int):
         pred, eos, res = yield from self.lock.acquire_with(self._nodes[tid])
@@ -129,7 +131,10 @@ class _FissileAdapter:
     def __init__(self, system: System, n_threads: int) -> None:
         layout = system.layout
         self.lock = FissileLock(layout.alloc_line(), layout.alloc_line())
-        self._nodes = [layout.alloc_line() for _ in range(n_threads)]
+        self._nodes: List[int] = []
+
+    def finish(self, system: System, n_threads: int) -> None:
+        self._nodes = [system.layout.alloc_line() for _ in range(n_threads)]
 
     def acquire(self, tid: int) -> Iterator:
         return self.lock.acquire_with(self._nodes[tid])

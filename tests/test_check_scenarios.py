@@ -1,10 +1,14 @@
-"""The widened scenario library: barrier and MCS hand-off cells.
+"""The widened scenario library: barrier and real-lock hand-off cells.
 
 Each scenario must (a) explore violation-free at a smoke budget on both
 fabrics, (b) catch its seeded mutation — a checker whose oracle never
 fires is indistinguishable from one that cannot — and (c) replay any
-counterexample bit-identically from the saved schedule.
+counterexample bit-identically from the saved schedule.  The lock
+scenarios run ``repro.sync``'s own locks, so (d) breaking a real lock
+must make its scenario report a violation.
 """
+
+import dataclasses
 
 import pytest
 
@@ -19,6 +23,14 @@ from repro.check.scenarios import (
     scenario_names,
 )
 from repro.cli import main
+from repro.sync import qcore
+from repro.sync.fissile import FissileLock
+from repro.sync.mcs import NEXT_OFFSET, McsLock
+from repro.sync.reciprocating import (
+    EOS_OFFSET,
+    RES_OFFSET,
+    ReciprocatingLock,
+)
 
 SMOKE = Budget(max_schedules=30, max_steps=80_000, max_depth=30)
 
@@ -68,6 +80,16 @@ class TestScenariosClean:
         assert not report.violations, report.violations
         assert report.statuses.get("finished", 0) == report.schedules_run
 
+    @pytest.mark.parametrize("primitive", ["ticket", "anderson", "clh"])
+    def test_lock_scenario_runs_every_queue_lock(self, primitive, interconnect):
+        spec = dataclasses.replace(
+            _spec("lock", interconnect), primitive=primitive
+        )
+        report = explore(spec, SMOKE)
+        assert report.schedules_run > 1
+        assert not report.violations, report.violations
+        assert report.statuses.get("finished", 0) == report.schedules_run
+
     @pytest.mark.parametrize("scenario", ["barrier", "mcs"])
     def test_scenario_specific_oracle_attached(self, scenario):
         built = build_scenario(scenario, "iqolb", "bus", 2, 1, 400, 2_000_000)
@@ -104,6 +126,76 @@ class TestSeededMutations:
         assert outcome.violation["message"] == record["violation"]["message"]
         assert outcome.violation["time"] == record["violation"]["time"]
         assert outcome.cycles == record["cycles"]
+
+
+def _mcs_release_without_signal(self, node_addr):
+    next_node = yield from qcore.probe(node_addr + NEXT_OFFSET)
+    if next_node == 0:
+        swapped = yield from qcore.unsplice(
+            self.tail_addr, node_addr, pc_label="mcs.release_cas"
+        )
+        if not swapped:
+            yield from qcore.wait_until(node_addr + NEXT_OFFSET, qcore.nonzero)
+
+
+def _recip_admit_without_gate(self, succ, eos, res):
+    yield from qcore.signal(succ + EOS_OFFSET, eos)
+    yield from qcore.signal(succ + RES_OFFSET, res)
+
+
+def _fissile_no_promotion(self, node_addr):
+    return
+    yield
+
+
+#: lock scenario -> (real method broken in place, replacement, oracles)
+BROKEN_LOCKS = {
+    "mcs": (McsLock, "release_with", _mcs_release_without_signal,
+            {"progress"}),
+    "reciprocating": (ReciprocatingLock, "_admit", _recip_admit_without_gate,
+                      {"progress"}),
+    "fissile": (FissileLock, "_promote_successor", _fissile_no_promotion,
+                {"progress", "workload-verify"}),
+}
+
+
+class TestRealLocks:
+    """Drift guard: the lock scenarios check ``repro.sync``'s locks, so
+    a bug planted in the real lock (not in any checker code) must be
+    caught by the scenario that runs it."""
+
+    @pytest.mark.parametrize("scenario", sorted(BROKEN_LOCKS))
+    def test_broken_real_lock_is_caught(self, scenario, monkeypatch):
+        cls, method, broken, oracles = BROKEN_LOCKS[scenario]
+        # The hand-off timeout stays on: it rescues a correct lock's
+        # plain LL/SC under IQOLB, but no coherence timeout can deliver
+        # a store the lock never makes.
+        spec = dataclasses.replace(
+            _spec(scenario, "bus", acquires=2), max_cycles=200_000
+        )
+        budget = Budget(max_schedules=20, max_steps=150_000, max_depth=30)
+        assert not explore(spec, budget).violations
+        monkeypatch.setattr(cls, method, broken)
+        report = explore(spec, budget)
+        assert report.violations, f"broken {cls.__name__}.{method} not caught"
+        assert report.violations[0]["violation"]["oracle"] in oracles
+
+    @pytest.mark.parametrize(
+        "scenario, lock_lines",
+        [("mcs", 1), ("reciprocating", 1), ("fissile", 2)],
+    )
+    def test_tracks_every_line_the_scenario_allocated(
+        self, scenario, lock_lines
+    ):
+        built = build_scenario(scenario, "tts", "bus", 3, 1, 400, 2_000_000)
+        system, workload = built.system, built.workload
+        assert built.tracked_lines == system.layout.allocated_lines()
+        # lock words, then the token, then one queue node per thread
+        assert len(built.tracked_lines) == lock_lines + 1 + 3
+        assert built.tracked_lines[0] == workload.lock_line(system)
+        assert built.tracked_lines[lock_lines] == system.amap.line_addr(
+            workload.token_addr
+        )
 
 
 class TestRegistries:

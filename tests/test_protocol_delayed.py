@@ -45,19 +45,20 @@ class TestQueueFormation:
     def test_queue_order_matches_bus_order(self):
         """The line passes 'in precisely the order in which the original
         requests occurred' (paper §3.2)."""
-        events = []
+        from repro.telemetry import RingBufferSink, TraceDispatcher
 
-        def tracer(event, time, node, la, info):
-            if event in ("queued", "fill"):
-                events.append((event, node, time))
-
-        from repro import System
-        from conftest import small_config
-
-        system = System(small_config(4, "delayed"), tracer=tracer)
+        system = build_system(4, "delayed")
+        dispatcher = TraceDispatcher()
+        ring = dispatcher.attach(RingBufferSink())
+        system.attach_telemetry(dispatcher)
         addr = system.layout.alloc_line()
         target = system.amap.line_addr(addr)
         concurrent_rmw(system, addr, 4, 3)
+        events = [
+            (e.kind, e.node, e.time)
+            for e in ring.events
+            if e.kind in ("queued", "fill")
+        ]
         # For each wave: nodes that queued earlier fill earlier.
         queued = [(t, n) for e, n, t in events if e == "queued"]
         assert queued  # the queue really formed

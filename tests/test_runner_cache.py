@@ -3,11 +3,12 @@
 import functools
 import json
 
-from repro.harness.cache import ResultCache, stable_hash
+from repro.harness.cache import ResultCache
 from repro.harness.config import SystemConfig
 from repro.harness.experiment import PRIMITIVES, table3_with_stats
 from repro.harness.runner import CellSpec, FactorySpec, run_cells
 from repro.harness.sweep import sweep
+from repro.telemetry.manifest import stable_hash
 from repro.workloads.micro import NullCriticalSection
 
 #: Picklable factory: partial of a module-level class, lock_kind positional.

@@ -21,6 +21,27 @@ class TestLockSet:
         lockset = LockSet(kind, system, n_locks=3, n_threads=2)
         assert lockset.lock_addr(0) != lockset.lock_addr(1)
 
+    @pytest.mark.parametrize("kind", LOCK_KINDS)
+    def test_lock_words_precede_queue_nodes(self, kind):
+        """Multi-lock sets lay out every lock's words, then the queue
+        nodes: the order ``LOCK_ADAPTERS`` documents and the checker's
+        lock scenarios are laid out by."""
+        system = build_system(3, "qolb" if kind == "qolb" else "baseline")
+        lockset = LockSet(kind, system, n_locks=2, n_threads=3)
+        allocated = set(system.layout.allocated_lines())
+        lock_lines = []
+        for adapter in lockset._adapters:
+            words = []
+            for value in vars(adapter.lock).values():
+                words.extend(value if isinstance(value, list) else [value])
+            lines = {system.amap.line_addr(w) for w in words
+                     if isinstance(w, int) and w in allocated}
+            assert system.amap.line_addr(adapter.lock.addr) in lines
+            lock_lines.append(lines)
+        node_lines = allocated - lock_lines[0] - lock_lines[1]
+        if node_lines:
+            assert max(lock_lines[0] | lock_lines[1]) < min(node_lines), kind
+
     def test_unknown_kind_rejected(self):
         system = build_system(1)
         with pytest.raises(ValueError):
