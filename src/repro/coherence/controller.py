@@ -49,9 +49,11 @@ from repro.interconnect.messages import (
     GrantState,
     SnoopReply,
 )
-from repro.mem.address import AddressMap
+from repro.mem.address import WORD_BYTES, AddressMap
 from repro.mem.hierarchy import NodeCacheHierarchy
 from repro.mem.line import CacheLine, State
+
+_TEAROFF = State.TEAROFF
 
 
 class Obligation:
@@ -124,6 +126,9 @@ class CacheController(BusClient):
         #: metric name -> Counter, so hot-path _count calls skip the
         #: f-string build and registry probe after the first occurrence
         self._counters: Dict[str, Any] = {}
+        # line/offset masks of ``amap``, for the load path
+        self._line_mask = ~(amap.line_bytes - 1)
+        self._offset_mask = amap.line_bytes - 1
         # cpu_request dispatch table, hoisted out of the per-op path
         self._op_handlers = {
             "read": self._do_read,
@@ -194,20 +199,6 @@ class CacheController(BusClient):
         if self.link_valid and self.amap.line_addr(self.link_addr) == line_addr:
             self.link_valid = False
 
-
-    def _readable_now(self, line, line_addr: int) -> bool:
-        """May a load/LL be satisfied by this line right now?
-
-        Tear-off copies are usable only while we hold a queue position
-        for the line (an open MSHR): an orphaned tear-off is stale data
-        nobody will ever refresh, so spinning on it would never end.
-        """
-        if line is None:
-            return False
-        if line.state is State.TEAROFF:
-            return line_addr in self.mshrs
-        return line.readable
-
     # ==================================================================
     # CPU side
     # ==================================================================
@@ -219,26 +210,40 @@ class CacheController(BusClient):
         handler(op, done)
 
     # ------------------------------- loads ----------------------------
+    # A load or LL hits when the line is present (``lookup`` and ``peek``
+    # return only valid lines) and, if it is a tear-off copy, we still
+    # hold a queue position for it (an open MSHR): an orphaned tear-off
+    # is stale data nobody will ever refresh, so spinning on it would
+    # never end.  The four methods below test that inline, with the
+    # line/offset masks precomputed: a local-hit poll runs them once
+    # per spin iteration.
     def _do_read(self, op: Op, done: Callable[[Any], None]) -> None:
-        line_addr = self.amap.line_addr(op.addr)
+        line_addr = op.addr & self._line_mask
         line, latency = self.hierarchy.lookup(line_addr)
-        if self._readable_now(line, line_addr):
+        if line is not None and (
+            line.state is not _TEAROFF or line_addr in self.mshrs
+        ):
             self.sim.schedule(latency, self._finish_read, op, done)
         else:
             self.sim.schedule(latency, self._start_miss, op, done, BusOp.GETS)
 
     def _finish_read(self, op: Op, done: Callable[[Any], None]) -> None:
-        line_addr = self.amap.line_addr(op.addr)
+        addr = op.addr
+        line_addr = addr & self._line_mask
         line = self.hierarchy.peek(line_addr)
-        if not self._readable_now(line, line_addr):
+        if line is None or (
+            line.state is _TEAROFF and line_addr not in self.mshrs
+        ):
             self.cpu_request(op, done)  # lost the line mid-access; replay
             return
-        done(line.read_word(self.amap.word_index(op.addr)))
+        done(line.data[(addr & self._offset_mask) // WORD_BYTES])
 
     def _do_ll(self, op: Op, done: Callable[[Any], None]) -> None:
-        line_addr = self.amap.line_addr(op.addr)
+        line_addr = op.addr & self._line_mask
         line, latency = self.hierarchy.lookup(line_addr)
-        if self._readable_now(line, line_addr):
+        if line is not None and (
+            line.state is not _TEAROFF or line_addr in self.mshrs
+        ):
             self.sim.schedule(latency, self._finish_ll, op, done)
         else:
             self.sim.schedule(
@@ -246,9 +251,11 @@ class CacheController(BusClient):
             )
 
     def _finish_ll(self, op: Op, done: Callable[[Any], None]) -> None:
-        line_addr = self.amap.line_addr(op.addr)
+        line_addr = op.addr & self._line_mask
         line = self.hierarchy.peek(line_addr)
-        if not self._readable_now(line, line_addr):
+        if line is None or (
+            line.state is _TEAROFF and line_addr not in self.mshrs
+        ):
             self.cpu_request(op, done)
             return
         self._complete_ll(op, line, done)
@@ -260,9 +267,9 @@ class CacheController(BusClient):
         self.link_valid = True
         self.link_addr = op.addr
         self.current_ll_pc = op.pc
-        self.link_tearoff = line.state is State.TEAROFF
+        self.link_tearoff = line.state is _TEAROFF
         self._count("ll_ops")
-        value = line.read_word(self.amap.word_index(op.addr))
+        value = line.data[(op.addr & self._offset_mask) // WORD_BYTES]
         if self.tracer is not None:
             # guarded at the call site: this runs once per spin iteration,
             # and building the payload would dominate the untraced path

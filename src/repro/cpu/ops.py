@@ -17,10 +17,16 @@ only if no other processor wrote the linked location since the LL.
 
 ``pc`` is the (stable, synthetic) program counter of the instruction; the
 IQOLB lock predictor indexes its table by the PC of the LL (paper §3.4).
+
+Ops are immutable once yielded.  The processor, the cache controller and
+its MSHRs keep a reference to an op until it completes, and spin loops
+(:func:`repro.sync.qcore.wait_until`, :class:`repro.sync.tts.TTSLock`)
+yield the same ``Read``/``LL`` and ``Compute`` objects on every poll.
+Never assign to an op's ``addr``, ``value`` or ``pc`` after yielding it;
+build a new op instead.
 """
 
 from __future__ import annotations
-
 
 
 class Op:
@@ -46,7 +52,9 @@ class Read(Op):
     kind = "read"
 
     def __init__(self, addr: int, pc: int = 0) -> None:
-        super().__init__(addr=addr, pc=pc)
+        self.addr = addr
+        self.value = 0
+        self.pc = pc
 
 
 class Write(Op):
@@ -55,7 +63,9 @@ class Write(Op):
     kind = "write"
 
     def __init__(self, addr: int, value: int, pc: int = 0) -> None:
-        super().__init__(addr=addr, value=value, pc=pc)
+        self.addr = addr
+        self.value = value
+        self.pc = pc
 
 
 class LL(Op):
@@ -64,7 +74,9 @@ class LL(Op):
     kind = "ll"
 
     def __init__(self, addr: int, pc: int = 0) -> None:
-        super().__init__(addr=addr, pc=pc)
+        self.addr = addr
+        self.value = 0
+        self.pc = pc
 
 
 class SC(Op):
@@ -73,7 +85,9 @@ class SC(Op):
     kind = "sc"
 
     def __init__(self, addr: int, value: int, pc: int = 0) -> None:
-        super().__init__(addr=addr, value=value, pc=pc)
+        self.addr = addr
+        self.value = value
+        self.pc = pc
 
 
 class Swap(Op):
@@ -82,7 +96,9 @@ class Swap(Op):
     kind = "swap"
 
     def __init__(self, addr: int, value: int, pc: int = 0) -> None:
-        super().__init__(addr=addr, value=value, pc=pc)
+        self.addr = addr
+        self.value = value
+        self.pc = pc
 
 
 class EnQOLB(Op):
@@ -95,7 +111,9 @@ class EnQOLB(Op):
     kind = "enqolb"
 
     def __init__(self, addr: int, pc: int = 0) -> None:
-        super().__init__(addr=addr, pc=pc)
+        self.addr = addr
+        self.value = 0
+        self.pc = pc
 
 
 class DeQOLB(Op):
@@ -104,7 +122,9 @@ class DeQOLB(Op):
     kind = "deqolb"
 
     def __init__(self, addr: int, pc: int = 0) -> None:
-        super().__init__(addr=addr, pc=pc)
+        self.addr = addr
+        self.value = 0
+        self.pc = pc
 
 
 class Compute(Op):
@@ -114,9 +134,11 @@ class Compute(Op):
     is_memory = False
 
     def __init__(self, cycles: int) -> None:
-        super().__init__(value=cycles)
         if cycles < 0:
             raise ValueError("compute cycles must be non-negative")
+        self.addr = 0
+        self.value = cycles
+        self.pc = 0
 
     @property
     def cycles(self) -> int:
@@ -138,4 +160,6 @@ class Fence(Op):
     is_memory = False
 
     def __init__(self) -> None:
-        super().__init__()
+        self.addr = 0
+        self.value = 0
+        self.pc = 0

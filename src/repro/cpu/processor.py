@@ -76,13 +76,10 @@ class Processor:
             self.sim.schedule(self.issue_overhead, self._advance, None)
             return
         # Memory operation: hand to the cache controller; it calls
-        # _memory_done(value) when the access completes.
+        # _advance(value) when the access completes.
         if self.controller is None:
             raise RuntimeError(f"processor {self.node_id} has no controller")
         self._c_mem_ops.value += 1
         self.sim.schedule(
-            self.issue_overhead, self.controller.cpu_request, op, self._memory_done
+            self.issue_overhead, self.controller.cpu_request, op, self._advance
         )
-
-    def _memory_done(self, value: Any) -> None:
-        self._advance(value)

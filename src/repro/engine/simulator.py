@@ -9,6 +9,7 @@ paper's Table 1 which expresses all latencies in processor cycles.
 from __future__ import annotations
 
 import time as _time
+from heapq import heappush as _heappush
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.engine.event import CalendarEventQueue, Event, EventQueue
@@ -48,6 +49,10 @@ class Simulator:
     original min-heap.  The two are bit-identical — same event order,
     same cycle counts, same checker fingerprints — and the equivalence
     suite (``tests/test_engine_fastpath.py``) holds them to it.
+
+    Every event enters the queue through :meth:`schedule` or
+    :meth:`schedule_at`; :meth:`stop` ends a drain after the event that
+    called it.
     """
 
     def __init__(
@@ -59,14 +64,22 @@ class Simulator:
         self.max_cycles = max_cycles
         self.engine = engine
         self._queue = CalendarEventQueue() if engine == "fast" else EventQueue()
+        #: the calendar queue while :meth:`schedule` may append straight
+        #: into its buckets: the fast engine until a non-zero priority is
+        #: first seen (from then on every push sorts through ``push``)
+        self._calendar: Optional[CalendarEventQueue] = (
+            self._queue if engine == "fast" else None
+        )
+        self._stop_requested = False
         self._events_fired = 0
         self._running = False
         self._host_seconds = 0.0
         self.tie_breaker: Optional[Callable[[Sequence[Event]], int]] = None
         self.on_step: Optional[Callable[[], None]] = None
-        #: the event currently (or most recently) being fired — lets the
-        #: checker's ``on_step`` hook inspect what just executed (e.g. to
-        #: wake sleep-set entries that conflict with it).
+        #: the event the hook-capable loop (or :meth:`step`) fired last —
+        #: lets the checker's ``on_step`` hook inspect what just executed
+        #: (e.g. to wake sleep-set entries that conflict with it).  The
+        #: hook-free fast loop does not maintain it.
         self.last_event: Optional[Event] = None
         self.diagnostic_providers: List[Callable[[], str]] = []
 
@@ -87,7 +100,28 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        return self._queue.push(self.now + delay, callback, args, priority)
+        calendar = self._calendar
+        if calendar is None or priority:
+            if priority:
+                self._calendar = None
+            return self._queue.push(self.now + delay, callback, args, priority)
+        # CalendarEventQueue.push, inlined for the all-priority-0 case
+        # (no bucket can be out of order, so no dirty marking).
+        time = self.now + delay
+        seq = calendar._seq
+        calendar._seq = seq + 1
+        event = Event(time, 0, seq, callback, args)
+        live = calendar._live + 1
+        calendar._live = live
+        if live > calendar.high_water:
+            calendar.high_water = live
+        bucket = calendar._buckets.get(time)
+        if bucket is None:
+            calendar._buckets[time] = [event]
+            _heappush(calendar._times, time)
+        else:
+            bucket.append(event)
+        return event
 
     def schedule_at(
         self,
@@ -99,11 +133,30 @@ class Simulator:
         """Schedule ``callback(*args)`` at absolute ``time`` (>= now)."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
+        if priority:
+            self._calendar = None
         return self._queue.push(time, callback, args, priority)
 
     def cancel(self, event: Event) -> None:
         """Cancel an event previously returned by ``schedule``."""
         self._queue.cancel(event)
+
+    def stop(self) -> None:
+        """End the current drain once the event now firing returns.
+
+        :meth:`run` then returns; under :meth:`step` the firing step
+        still returns True and the next one returns False without firing.
+        Called outside any event, the next ``run()``/``step()`` returns
+        at once.  The request is consumed when honoured.
+        """
+        self._stop_requested = True
+
+    def _take_stop(self) -> bool:
+        """Consume a pending :meth:`stop` request; True if there was one."""
+        if self._stop_requested:
+            self._stop_requested = False
+            return True
+        return False
 
     # ------------------------------------------------------------------
     # Execution
@@ -141,11 +194,15 @@ class Simulator:
         """Drain the event queue; return the final simulated time.
 
         ``until``, when provided, is evaluated after every event and stops
-        the run early once it returns True.  A :class:`SimulationError` is
-        raised if the clock passes ``max_cycles`` — the runaway guard that
-        turns livelock (a real phenomenon for the aggressive-baseline
-        protocol) into a detectable outcome instead of a hang.
+        the run early once it returns True; :meth:`stop` does the same
+        from inside a callback without a per-event call.  A
+        :class:`SimulationError` is raised if the clock passes
+        ``max_cycles`` — the runaway guard that turns livelock (a real
+        phenomenon for the aggressive-baseline protocol) into a
+        detectable outcome instead of a hang.
         """
+        if self._take_stop():
+            return self.now
         self._running = True
         started = _time.perf_counter()
         try:
@@ -158,6 +215,7 @@ class Simulator:
             else:
                 self._run_generic(until)
         finally:
+            self._stop_requested = False
             self._running = False
             self._host_seconds += _time.perf_counter() - started
         return self.now
@@ -179,6 +237,8 @@ class Simulator:
             event.callback(*event.args)
             if self.on_step is not None:
                 self.on_step()
+            if self._stop_requested:
+                break
             if until is not None and until():
                 break
 
@@ -188,8 +248,9 @@ class Simulator:
         Fires exactly the same events in exactly the same order as
         :meth:`_run_generic`; the difference is mechanical — whole
         same-cycle buckets are walked inline with hot state in locals,
-        and the events-fired tally is folded back once per run instead
-        of per event.
+        the events-fired tally is folded back once per run instead of
+        per event, and ``last_event`` (read only by the checker's hooks,
+        which run the generic loop) is not written.
         """
         queue = self._queue
         head = queue._head
@@ -218,8 +279,9 @@ class Simulator:
                     queue._head_pos = pos
                     queue._live -= 1
                     fired += 1
-                    self.last_event = event
                     event.callback(*event.args)
+                    if self._stop_requested:
+                        return
                     if until is not None and until():
                         return
                     if queue._head_dirty:
@@ -233,7 +295,10 @@ class Simulator:
             self._events_fired = fired
 
     def step(self) -> bool:
-        """Fire a single event; return False when the queue is empty."""
+        """Fire a single event; return False when the queue is empty or
+        a :meth:`stop` is pending (which this consumes)."""
+        if self._take_stop():
+            return False
         next_time = self._queue.peek_time()
         if next_time is not None and next_time > self.max_cycles:
             raise self._runaway_error()

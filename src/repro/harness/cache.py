@@ -10,9 +10,11 @@ re-run of a sweep replays only the cells whose inputs changed.
 Key properties:
 
 * **Content-addressed** — the key is a SHA-256 over a canonical JSON
-  encoding of the cell description plus the package version; any config
-  field, workload parameter, primitive or version change produces a new
-  key.  Entries are never mutated in place.
+  encoding of the cell description plus a fingerprint of the simulator's
+  own sources (:func:`source_fingerprint`); any config field, workload
+  parameter, primitive or source change produces a new key, so a result
+  computed by older code is never served.  Entries are never mutated in
+  place.
 * **Corruption-tolerant** — unreadable or schema-mismatched entries are
   discarded (and deleted) rather than crashing the run.
 * **Relocatable** — the root defaults to ``~/.cache/repro-iqolb`` and is
@@ -22,6 +24,8 @@ Key properties:
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
 import json
 import os
 import pathlib
@@ -38,6 +42,7 @@ __all__ = [
     "default_cache_dir",
     "result_from_dict",
     "result_to_dict",
+    "source_fingerprint",
 ]
 
 #: Schema version of the stored entries; bump on RunResult shape changes.
@@ -51,6 +56,29 @@ def default_cache_dir() -> pathlib.Path:
     if env:
         return pathlib.Path(env)
     return pathlib.Path.home() / ".cache" / "repro-iqolb"
+
+
+@functools.lru_cache(maxsize=None)
+def source_fingerprint(root: Optional[str] = None) -> str:
+    """SHA-256 over every ``.py`` file of the package at ``root``.
+
+    ``root`` defaults to the installed ``repro`` package.  Files are
+    hashed in sorted relative-path order, each as its path and its bytes,
+    so editing, adding, removing or renaming a source file changes the
+    fingerprint while the package version stays put.  Computed once per
+    process and root.
+    """
+    if root is None:
+        base = pathlib.Path(repro.__file__).parent
+    else:
+        base = pathlib.Path(root)
+    digest = hashlib.sha256()
+    for path in sorted(base.rglob("*.py")):
+        digest.update(path.relative_to(base).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
 
 
 def result_to_dict(result: RunResult) -> dict:
@@ -74,18 +102,21 @@ def result_from_dict(data: dict) -> RunResult:
 class ResultCache:
     """A content-addressed store of :class:`RunResult` objects on disk.
 
-    ``version`` is folded into every key, so bumping the package version
-    (or passing an explicit one) invalidates all previous entries without
-    touching the files.
+    ``fingerprint`` identifies the code that computed the results and is
+    folded into every key; it defaults to :func:`source_fingerprint`, so
+    any edit to the simulator's sources invalidates all previous entries
+    without touching the files.
     """
 
     def __init__(
         self,
         root: Optional[os.PathLike] = None,
-        version: Optional[str] = None,
+        fingerprint: Optional[str] = None,
     ) -> None:
         self.root = pathlib.Path(root) if root is not None else default_cache_dir()
-        self.version = version if version is not None else repro.__version__
+        self.fingerprint = (
+            fingerprint if fingerprint is not None else source_fingerprint()
+        )
         self.hits = 0
         self.misses = 0
 
@@ -94,7 +125,7 @@ class ResultCache:
         return stable_hash(
             {
                 "schema": ENTRY_SCHEMA,
-                "version": self.version,
+                "sources": self.fingerprint,
                 "cell": description,
             }
         )

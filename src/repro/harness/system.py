@@ -139,7 +139,7 @@ class System:
         self._remaining = len(self._threads)
         for node_id in self._threads:
             self.processors[node_id].start()
-        self.sim.run(until=lambda: self._remaining == 0)
+        self.sim.run()
         if self._remaining:
             raise RuntimeError(
                 f"{self._remaining} threads never finished "
@@ -149,6 +149,8 @@ class System:
 
     def _thread_done(self, thread: SimThread) -> None:
         self._remaining -= 1
+        if self._remaining == 0:
+            self.sim.stop()
 
     def _describe_stuck_state(self) -> str:
         """Per-node controller/MSHR digest for the runaway diagnostic."""

@@ -42,6 +42,9 @@ from repro.interconnect.messages import DataKind, DataMessage, GrantState
 VC_REQ = "req"
 VC_RESP = "resp"
 
+#: one directed link's occupancy-book key: (from node, to node, vc)
+Link = Tuple[int, int, str]
+
 
 class MeshNetwork:
     """Point-to-point 2-D mesh with per-link occupancy and two VCs."""
@@ -63,7 +66,12 @@ class MeshNetwork:
         self.word_ser_cycles = word_ser_cycles
         self.width = max(1, math.ceil(math.sqrt(n_nodes)))
         #: (src, dst, vc) -> cycle the directed link frees up
-        self._link_free: Dict[Tuple[int, int, str], int] = {}
+        self._link_free: Dict[Link, int] = {}
+        #: (src, dst, vc) -> the ``_link_free`` keys its route books, in
+        #: order; filled on first use.  Routes share one key object per
+        #: link (``_link_keys``), which keeps the cache small.
+        self._route_links: Dict[Tuple[int, int, str], Tuple[Link, ...]] = {}
+        self._link_keys: Dict[Link, Link] = {}
         self._receivers: Dict[int, Callable[[DataMessage], None]] = {}
         #: called with (line_addr, node) when an ownership-carrying
         #: message is committed to a node (see ``send``)
@@ -122,23 +130,36 @@ class MeshNetwork:
         flit); ``vc`` selects the virtual channel's occupancy book.
         """
         ser = self.line_ser_cycles if line else self.word_ser_cycles
-        path = self._route_nodes(src, dst)
-        t = self.sim.now
+        links = self._route_links.get((src, dst, vc))
+        if links is None:
+            path = self._route_nodes(src, dst)
+            keys = self._link_keys
+            links = tuple(
+                keys.setdefault((u, v, vc), (u, v, vc))
+                for u, v in zip(path, path[1:])
+            )
+            self._route_links[(src, dst, vc)] = links
+        now = self.sim.now
+        t = now
         if self.fault_hook is not None:
             # Injection-point delay: the message sits at the source's
             # network interface before entering the mesh proper.
             t += self.fault_hook.route_delay(src, dst, vc)
-        if len(path) == 1:
+        hop = self.hop_cycles
+        if not links:
             # Local delivery (e.g. the home node answering itself): no
             # link crossed, but the switch traversal still costs a hop.
-            t += self.hop_cycles
-        for u, v in zip(path, path[1:]):
-            start = max(t, self._link_free.get((u, v, vc), 0))
-            self._link_free[(u, v, vc)] = start + ser
-            t = start + ser + self.hop_cycles
+            t += hop
+        link_free = self._link_free
+        for link in links:
+            start = link_free.get(link, 0)
+            if start < t:
+                start = t
+            link_free[link] = start + ser
+            t = start + ser + hop
         self._c_messages.value += 1
-        self._c_hops.value += len(path) - 1
-        self._h_latency.add(t - self.sim.now)
+        self._c_hops.value += len(links)
+        self._h_latency.add(t - now)
         self.sim.schedule_at(t, callback)
         return t
 

@@ -28,6 +28,7 @@ class CacheArray:
         self.assoc = assoc
         self.line_bytes = line_bytes
         self._sets: List[Dict[int, CacheLine]] = [{} for _ in range(n_sets)]
+        self._set_mask = n_sets - 1
         self._tick = 0
 
     @classmethod
@@ -38,12 +39,17 @@ class CacheArray:
         return cls(n_sets, assoc, line_bytes)
 
     def _set_index(self, line_addr: int) -> int:
-        return (line_addr // self.line_bytes) & (self.n_sets - 1)
+        return (line_addr // self.line_bytes) & self._set_mask
 
     def lookup(self, line_addr: int, touch: bool = True) -> Optional[CacheLine]:
-        """Return the resident line for ``line_addr``, updating LRU state."""
+        """Return the resident line for ``line_addr``, updating LRU state.
+
+        :class:`~repro.mem.hierarchy.NodeCacheHierarchy` inlines this
+        (set probe and LRU touch) on its per-access paths; keep the two
+        in step.
+        """
         # _set_index inlined: this runs a few times per memory operation.
-        index = (line_addr // self.line_bytes) & (self.n_sets - 1)
+        index = (line_addr // self.line_bytes) & self._set_mask
         line = self._sets[index].get(line_addr)
         if line is not None and touch:
             self._tick += 1

@@ -19,6 +19,8 @@ from repro.engine.stats import StatsRegistry
 from repro.mem.cache import CacheArray
 from repro.mem.line import CacheLine, State
 
+_INVALID = State.INVALID
+
 
 class NodeCacheHierarchy:
     """L1-D + unified L2 for one node, sharing line objects."""
@@ -55,23 +57,35 @@ class NodeCacheHierarchy:
         the L1 probe plus the L2 hit time and refills the L1; a full miss
         costs the same probe path before the controller goes to the bus.
         """
-        line = self.l1.lookup(line_addr)
-        if line is not None and line.state is not State.INVALID:
-            self._c_l1_hits.value += 1
-            return line, self.l1_hit_cycles
+        # Both probes are CacheArray.lookup inlined (set probe, then the
+        # LRU touch of a resident frame, valid or not): this runs once
+        # per memory operation, spin polls included.
+        l1 = self.l1
+        line = l1._sets[(line_addr // l1.line_bytes) & l1._set_mask].get(line_addr)
+        if line is not None:
+            l1._tick += 1
+            line.last_used = l1._tick
+            if line.state is not _INVALID:
+                self._c_l1_hits.value += 1
+                return line, self.l1_hit_cycles
         latency = self.l1_hit_cycles + self.l2_hit_cycles
-        line = self.l2.lookup(line_addr)
-        if line is not None and line.state is not State.INVALID:
-            self._c_l2_hits.value += 1
-            self._fill_l1(line)
-            return line, latency
+        l2 = self.l2
+        line = l2._sets[(line_addr // l2.line_bytes) & l2._set_mask].get(line_addr)
+        if line is not None:
+            l2._tick += 1
+            line.last_used = l2._tick
+            if line.state is not _INVALID:
+                self._c_l2_hits.value += 1
+                self._fill_l1(line)
+                return line, latency
         self._c_misses.value += 1
         return None, latency
 
     def peek(self, line_addr: int) -> Optional[CacheLine]:
         """Find a line without timing or LRU effects (for snooping)."""
-        line = self.l2.lookup(line_addr, touch=False)
-        if line is not None and line.valid:
+        l2 = self.l2
+        line = l2._sets[(line_addr // l2.line_bytes) & l2._set_mask].get(line_addr)
+        if line is not None and line.state is not _INVALID:
             return line
         return None
 

@@ -34,6 +34,8 @@ cycle counts bit-identical across the refactor.
 
 from __future__ import annotations
 
+from functools import partial
+from operator import eq
 from typing import Callable, Optional, Union
 
 from repro.cpu.ops import Compute, Read, Swap, Write
@@ -77,12 +79,6 @@ def unsplice(tail_addr: int, expect: int, pc_label: str):
 # wait: spin on one word until it accepts
 # --------------------------------------------------------------------
 
-def _accepts(accept: Accept, value: int) -> bool:
-    if callable(accept):
-        return accept(value)
-    return value == accept
-
-
 def wait_until(
     addr: int,
     accept: Accept,
@@ -93,14 +89,23 @@ def wait_until(
     """Spin-read ``addr`` until ``accept`` holds; return the accepted
     value.  ``accept`` is a value to match or a predicate.  With
     ``max_pause`` the inter-test pause backs off exponentially
-    (proportional waits — barriers); otherwise it is constant."""
+    (proportional waits — barriers); otherwise it is constant.
+
+    Every poll yields the same ``Read`` and, while the pause is
+    unchanged, the same ``Compute`` (ops are immutable once yielded)."""
+    test = accept if callable(accept) else partial(eq, accept)
+    read = Read(addr, pc=pc)
+    backoff = Compute(pause)
     while True:
-        value = yield Read(addr, pc=pc)
-        if _accepts(accept, value):
+        value = yield read
+        if test(value):
             return value
-        yield Compute(pause)
+        yield backoff
         if max_pause is not None:
-            pause = min(pause * 2, max_pause)
+            grown = min(pause * 2, max_pause)
+            if grown != pause:
+                pause = grown
+                backoff = Compute(pause)
 
 
 def nonzero(value: int) -> bool:

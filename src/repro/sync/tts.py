@@ -30,17 +30,21 @@ class TTSLock(Lock):
         self.pc_release = synthetic_pc("tts.release")
 
     def acquire(self):
+        # One LL and one pause op serve every poll of this acquire (ops
+        # are immutable once yielded).
+        poll = LL(self.addr, pc=self.pc_acquire)
+        backoff = Compute(SPIN_PAUSE)
         while True:
-            value = yield LL(self.addr, pc=self.pc_acquire)
+            value = yield poll
             if value != 0:
                 # Lock held: spin on the LL (locally, when the protocol
                 # gives us a cached or tear-off copy).
-                yield Compute(SPIN_PAUSE)
+                yield backoff
                 continue
             ok = yield SC(self.addr, 1, pc=self.pc_acquire)
             if ok:
                 return
-            yield Compute(SPIN_PAUSE)
+            yield backoff
 
     def release(self):
         yield Write(self.addr, 0, pc=self.pc_release)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro import System, SystemConfig
+from repro.core.registry import get_primitive
+from repro.workloads.micro import NullCriticalSection
 
 # Shared Hypothesis profiles for the suite's property tests: few, slow
 # examples (each drives a whole simulated system), no deadline.  The
@@ -60,6 +62,35 @@ def run_programs(system: System, programs) -> int:
     for node, program in enumerate(programs):
         system.load_program(node, program)
     return system.run()
+
+
+#: the benchmark's hand-off ladder: one primitive per lock family
+HANDOFF_LADDER = (
+    "tts", "delayed", "iqolb", "ticket", "anderson",
+    "mcs", "clh", "reciprocating", "fissile",
+)
+
+
+def run_ladder_cell(primitive: str, n_processors: int, engine: str = "fast"):
+    """Run one hand-off ladder cell on the directory: the benchmark's
+    null critical section, 6 acquires per processor, think time 60.
+    Verifies the lock and returns the finished system."""
+    spec = get_primitive(primitive)
+    system = System(
+        SystemConfig(
+            n_processors=n_processors,
+            policy=spec.policy,
+            interconnect="directory",
+            engine=engine,
+        )
+    )
+    workload = NullCriticalSection(
+        spec.lock_kind, acquires_per_proc=6, think_cycles=60
+    )
+    workload.build(system)
+    system.run()
+    workload.verify(system)
+    return system
 
 
 def single_op_program(ops):

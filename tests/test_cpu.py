@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import HANDOFF_LADDER, run_ladder_cell
+from repro.coherence.controller import CacheController
 from repro.cpu.ops import LL, SC, Compute, DeQOLB, EnQOLB, Fence, Read, Swap, Write
 from repro.cpu.processor import Processor
 from repro.cpu.thread import SimThread
@@ -34,6 +36,55 @@ class TestOps:
     def test_pc_defaults_zero(self):
         assert LL(0x40).pc == 0
         assert LL(0x40, pc=7).pc == 7
+
+    def test_fields(self):
+        """Every constructor fills all three fields, with zero defaults."""
+        cases = [
+            (Read(0x40, pc=3), (0x40, 0, 3)),
+            (LL(0x44), (0x44, 0, 0)),
+            (Write(0x48, 5, pc=2), (0x48, 5, 2)),
+            (SC(0x4C, 1), (0x4C, 1, 0)),
+            (Swap(0x50, 9, pc=4), (0x50, 9, 4)),
+            (EnQOLB(0x54, pc=1), (0x54, 0, 1)),
+            (DeQOLB(0x58), (0x58, 0, 0)),
+            (Compute(12), (0, 12, 0)),
+            (Fence(), (0, 0, 0)),
+        ]
+        for op, fields in cases:
+            assert (op.addr, op.value, op.pc) == fields, op
+
+
+class TestOpsImmutableOnceYielded:
+    """Spin loops yield one ``Read``/``LL`` and one ``Compute`` for every
+    poll of a wait (``qcore.wait_until``, ``TTSLock.acquire``), so an op
+    must not change between its issue and its completion."""
+
+    def test_ladder_ops_unchanged_from_issue_to_completion(self, monkeypatch):
+        original = CacheController.cpu_request
+        issued, completed = [0], [0]
+        # id -> (op, fields at its first issue); holding the op keeps
+        #: its id from being recycled by a later op
+        first_seen = {}
+
+        def guarded(self, op, done):
+            issued[0] += 1
+            snapshot = (op.addr, op.value, op.pc)
+            _, first = first_seen.setdefault(id(op), (op, snapshot))
+            assert snapshot == first, op  # re-yielded ops are unchanged too
+
+            def checked(value):
+                assert (op.addr, op.value, op.pc) == snapshot, op
+                completed[0] += 1
+                done(value)
+
+            original(self, op, checked)
+
+        monkeypatch.setattr(CacheController, "cpu_request", guarded)
+        for name in HANDOFF_LADDER:
+            run_ladder_cell(name, 8)
+        assert completed[0] == issued[0]
+        # Polls really do reuse their ops: far fewer objects than issues.
+        assert len(first_seen) < issued[0] // 2
 
 
 class TestSimThread:

@@ -16,12 +16,17 @@ contract three ways:
   sets seen by a recording tie-break hook;
 * **checker level** — a smoke exploration cell produces the same
   distinct-state fingerprint set under either engine.
+
+The kernel's own shortcuts are held to their slow counterparts the same
+way: ``Simulator.schedule``'s inlined bucket append against
+``CalendarEventQueue.push``, and ``Simulator.stop()`` under the fast
+loop, the generic loop and ``step()``.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
-from conftest import small_config
+from conftest import HANDOFF_LADDER, run_ladder_cell, small_config
 from repro import System
 from repro.check.explore import Budget, RunSpec, explore
 from repro.cpu.ops import LL, SC, Compute, Read, Swap, Write
@@ -301,6 +306,185 @@ class TestSystemEquivalence:
             cycles = system.run()
             traces.append((cycles, seen))
         assert traces[0] == traces[1]
+
+
+# ----------------------------------------------------------------------
+# Kernel shortcuts: inlined push and stop()
+# ----------------------------------------------------------------------
+def _queue_state(queue):
+    """Every field the inlined push writes, in comparable form."""
+    return (
+        {
+            time: [(e.time, e.priority, e.seq, e.callback) for e in bucket]
+            for time, bucket in queue._buckets.items()
+        },
+        sorted(queue._times),
+        queue._seq,
+        queue._live,
+        queue.high_water,
+        queue._any_priority,
+        queue._head_time,
+        queue._head_pos,
+        queue._head_dirty,
+    )
+
+
+_push_op = st.one_of(
+    st.tuples(
+        st.just("push"),
+        st.integers(min_value=0, max_value=3),  # delay
+        st.sampled_from([0, 0, 0, 1, 2]),  # priority, mostly zero
+        st.integers(min_value=0, max_value=2),  # callback index
+    ),
+    st.tuples(st.just("fire")),
+)
+
+
+def _drain_run(sim):
+    sim.run()
+
+
+def _drain_generic(sim):
+    sim.on_step = lambda: None  # any hook selects the generic loop
+    sim.run()
+    sim.on_step = None
+
+
+def _drain_step(sim):
+    while sim.step():
+        pass
+
+
+#: the three ways a drain can be driven, each of which must honour stop()
+DRAINS = (_drain_run, _drain_generic, _drain_step)
+
+
+def _stop_world(engine, plan, stop_at):
+    """A simulator seeded from ``plan``: each event records itself, may
+    schedule children, and the ``stop_at``-th firing calls ``stop()``."""
+    sim = Simulator(engine=engine)
+    fired = []
+
+    def fire(tag, children):
+        fired.append((sim.now, tag))
+        if len(fired) == stop_at:
+            sim.stop()
+        for delay, grandchildren in children:
+            sim.schedule(delay, fire, (tag, delay), grandchildren)
+
+    for index, (delay, children) in enumerate(plan):
+        sim.schedule(delay, fire, index, children)
+    return sim, fired
+
+
+_leaf = st.tuples(st.integers(min_value=0, max_value=2), st.just(()))
+_plan = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2),
+                st.lists(_leaf, max_size=2).map(tuple),
+            ),
+            max_size=2,
+        ).map(tuple),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestKernelShortcuts:
+    @prop_settings
+    @given(ops=st.lists(_push_op, min_size=1, max_size=50))
+    def test_inlined_push_matches_calendar_push(self, ops):
+        """``schedule`` leaves the calendar exactly as ``push`` would,
+        before and after the first non-zero priority."""
+        sim = Simulator(engine="fast")
+        queue = CalendarEventQueue()
+        now = 0
+        for op in ops:
+            if op[0] == "push":
+                _, delay, priority, cb = op
+                a = sim.schedule(delay, CALLBACKS[cb], priority=priority)
+                b = queue.push(now + delay, CALLBACKS[cb], (), priority)
+                assert _key(a) == _key(b)
+                # The inline path is live exactly until a priority shows.
+                assert (sim._calendar is None) == queue._any_priority
+            else:
+                sim.step()
+                event = queue.pop()
+                if event is not None:
+                    now = event.time
+                assert sim.now == now
+            assert _queue_state(sim._queue) == _queue_state(queue)
+        while True:
+            a, b = sim._queue.pop(), queue.pop()
+            assert (a is None) == (b is None)
+            if a is None:
+                break
+            assert _key(a) == _key(b)
+
+    def test_priority_switches_schedule_to_push(self):
+        sim = Simulator(engine="fast")
+        sim.schedule(1, _cb_a)
+        assert sim._calendar is sim._queue
+        sim.schedule_at(1, _cb_b, priority=1)
+        assert sim._calendar is None and sim._queue._any_priority
+        assert Simulator(engine="reference")._calendar is None
+
+    @prop_settings
+    @given(
+        plan=_plan,
+        stop_at=st.integers(min_value=1, max_value=30),
+        engine=st.sampled_from(ENGINES),
+    )
+    def test_stop_mid_bucket_agrees_across_drains(self, plan, stop_at, engine):
+        """A callback's ``stop()`` ends the fast loop, the generic loop and
+        a ``step()`` loop after the same event; resuming drains the same
+        remainder."""
+        outcomes = []
+        for drain in DRAINS:
+            sim, fired = _stop_world(engine, plan, stop_at)
+            drain(sim)
+            at_stop = (list(fired), sim.events_fired, sim.now, sim.pending_events)
+            drain(sim)
+            outcomes.append((at_stop, fired, sim.events_fired, sim.now))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        (stopped, _, _, pending), _, total, _ = outcomes[0]
+        assert len(stopped) == min(stop_at, total)
+        if stop_at < total:
+            assert pending > 0
+
+    def test_stop_outside_a_run_is_honoured_once(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1, fired.append, "x")
+        sim.stop()
+        assert sim.run() == 0 and fired == []
+        sim.stop()
+        assert sim.step() is False and fired == []
+        sim.run()
+        assert fired == ["x"]
+
+    def test_directory_ladder_16p_bit_identical(self):
+        """Every lock of the hand-off ladder, 16p on the directory: the
+        fast engine (inlined push, stop(), fast loop) reproduces the
+        reference heap's cycles, events and counters exactly."""
+        for name in HANDOFF_LADDER:
+            outcomes = []
+            for engine in ENGINES:
+                system = run_ladder_cell(name, 16, engine)
+                outcomes.append(
+                    (
+                        system.sim.now,
+                        system.sim.events_fired,
+                        system.sim.queue_high_water,
+                        system.sim.pending_events,
+                        system.stats.snapshot(),
+                    )
+                )
+            assert outcomes[0] == outcomes[1], name
 
 
 # ----------------------------------------------------------------------

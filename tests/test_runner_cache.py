@@ -2,8 +2,10 @@
 
 import functools
 import json
+import os
 
-from repro.harness.cache import ResultCache
+import repro
+from repro.harness.cache import ResultCache, source_fingerprint
 from repro.harness.config import SystemConfig
 from repro.harness.experiment import PRIMITIVES, table3_with_stats
 from repro.harness.runner import CellSpec, FactorySpec, run_cells
@@ -115,11 +117,58 @@ class TestCache:
             make_spec(verify=False).describe()
         )
 
-    def test_key_changes_with_package_version(self, tmp_path):
+    def test_key_changes_with_source_fingerprint(self, tmp_path):
         description = make_spec().describe()
-        v1 = ResultCache(tmp_path, version="1.0.0")
-        v2 = ResultCache(tmp_path, version="2.0.0")
-        assert v1.key(description) != v2.key(description)
+        old = ResultCache(tmp_path, fingerprint="a" * 64)
+        new = ResultCache(tmp_path, fingerprint="b" * 64)
+        assert old.key(description) != new.key(description)
+
+    def test_changed_fingerprint_misses_unchanged_hits(self, tmp_path):
+        """A result stored by one source tree is served only to the same
+        tree: the package version alone no longer vouches for it."""
+        first = sweep(
+            fast_factory, ["tts"], [2],
+            cache=ResultCache(tmp_path, fingerprint="a" * 64),
+        )
+        assert first.runner_stats.executed == 1
+        same = sweep(
+            fast_factory, ["tts"], [2],
+            cache=ResultCache(tmp_path, fingerprint="a" * 64),
+        )
+        assert same.runner_stats.cache_hits == 1
+        assert same.runner_stats.executed == 0
+        edited = sweep(
+            fast_factory, ["tts"], [2],
+            cache=ResultCache(tmp_path, fingerprint="b" * 64),
+        )
+        assert edited.runner_stats.cache_hits == 0
+        assert edited.runner_stats.executed == 1
+
+    def test_default_fingerprint_is_the_package_sources(self):
+        assert ResultCache().fingerprint == source_fingerprint()
+        assert ResultCache().fingerprint == source_fingerprint(
+            os.path.dirname(repro.__file__)
+        )
+
+    def test_source_fingerprint_tracks_every_source_file(self, tmp_path):
+        package = tmp_path / "pkg"
+        (package / "sub").mkdir(parents=True)
+        (package / "a.py").write_text("x = 1\n")
+        (package / "sub" / "b.py").write_text("y = 2\n")
+
+        def fingerprint():
+            source_fingerprint.cache_clear()
+            return source_fingerprint(str(package))
+
+        base = fingerprint()
+        assert fingerprint() == base
+        (package / "notes.txt").write_text("not a source file")
+        assert fingerprint() == base
+        (package / "sub" / "b.py").write_text("y = 3\n")
+        edited = fingerprint()
+        assert edited != base
+        (package / "sub" / "b.py").rename(package / "sub" / "c.py")
+        assert fingerprint() not in (base, edited)
 
     def test_corrupted_entries_discarded_not_crashed(self, tmp_path):
         cache = ResultCache(tmp_path)
