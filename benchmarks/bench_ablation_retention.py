@@ -8,9 +8,10 @@ where the difference matters — a contended TTS lock, whose release store
 is exactly the regular RFO that hits the queue.
 """
 
+import functools
+
 from conftest import once, publish
-from repro.harness.config import SystemConfig
-from repro.harness.experiment import PRIMITIVES, run_workload
+from repro.harness.sweep import sweep
 from repro.harness.tables import render_table
 from repro.workloads.micro import NullCriticalSection
 
@@ -18,16 +19,11 @@ VARIANTS = ["delayed", "delayed+retention", "iqolb", "iqolb+retention"]
 
 
 def measure(n_processors: int = 16):
-    out = {}
-    for primitive in VARIANTS:
-        policy, lock_kind = PRIMITIVES[primitive]
-        config = SystemConfig(n_processors=n_processors, policy=policy)
-        workload = NullCriticalSection(
-            lock_kind=lock_kind, acquires_per_proc=20, think_cycles=80
-        )
-        result = run_workload(workload, config, primitive=primitive)
-        out[primitive] = result
-    return out
+    factory = functools.partial(
+        NullCriticalSection, acquires_per_proc=20, think_cycles=80
+    )
+    grid = sweep(factory, VARIANTS, [n_processors])
+    return {primitive: grid.cell(primitive, n_processors) for primitive in VARIANTS}
 
 
 def test_retention_ablation(benchmark):

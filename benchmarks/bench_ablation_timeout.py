@@ -19,9 +19,7 @@ TIMEOUTS = [50, 200, 1_000, 5_000, 20_000]
 def measure(n_processors: int = 16):
     out = {}
     for timeout in TIMEOUTS:
-        config = SystemConfig(
-            n_processors=n_processors, policy="iqolb", timeout_cycles=timeout
-        )
+        config = SystemConfig(n_processors=n_processors, timeout_cycles=timeout)
         workload = CollocatedCriticalSection(
             lock_kind="tts", acquires_per_proc=20, think_cycles=80
         )

@@ -17,8 +17,9 @@ and asserts them:
 import dataclasses
 
 from conftest import once, publish, publish_metrics
+from repro.core.registry import get_primitive
 from repro.harness.config import SystemConfig
-from repro.harness.experiment import PRIMITIVES, run_workload
+from repro.harness.experiment import run_workload
 from repro.harness.tables import render_table
 from repro.workloads.micro import ContendedCounter, NullCriticalSection
 
@@ -45,15 +46,16 @@ def measure(
     acquires: int = 20,
 ):
     """Returns the figure row plus the raw (rmw, lock) RunResults."""
-    policy, lock_kind = PRIMITIVES[primitive]
-    config = SystemConfig(n_processors=n_processors, policy=policy)
+    config = SystemConfig(n_processors=n_processors)
 
     counter = ContendedCounter(increments_per_proc=increments, think_cycles=40)
     rmw = run_workload(counter, config, primitive=primitive)
     updates = n_processors * increments
 
     lock = NullCriticalSection(
-        lock_kind=lock_kind, acquires_per_proc=acquires, think_cycles=80
+        lock_kind=get_primitive(primitive).lock_kind,
+        acquires_per_proc=acquires,
+        think_cycles=80,
     )
     lock_run = run_workload(lock, config, primitive=primitive)
     total_acquires = n_processors * acquires

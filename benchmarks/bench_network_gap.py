@@ -9,8 +9,9 @@ the paper's mechanisms matter *more* as the gap widens.
 """
 
 from conftest import once, publish
+from repro.core.registry import get_primitive
 from repro.harness.config import SystemConfig
-from repro.harness.experiment import PRIMITIVES, run_workload
+from repro.harness.experiment import run_workload
 from repro.harness.tables import render_table
 from repro.workloads.micro import NullCriticalSection
 
@@ -25,12 +26,11 @@ PRIMS = ["tts", "iqolb", "qolb"]
 def measure(n_processors: int = 16):
     out = {}
     for primitive in PRIMS:
-        policy, lock_kind = PRIMITIVES[primitive]
+        lock_kind = get_primitive(primitive).lock_kind
         per_latency = []
         for latency in LATENCIES:
             config = SystemConfig(
                 n_processors=n_processors,
-                policy=policy,
                 xbar_line_cycles=latency,
             )
             workload = NullCriticalSection(
@@ -47,7 +47,6 @@ def measure(n_processors: int = 16):
         for latency in DIR_LATENCIES:
             config = SystemConfig(
                 n_processors=n_processors,
-                policy=policy,
                 interconnect="directory",
                 net_line_ser_cycles=latency,
             )

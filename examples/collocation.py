@@ -8,27 +8,24 @@ example measures the same critical section with the data collocated
 vs. placed in separate lines, under TTS, IQOLB and QOLB.
 """
 
-from repro import System, SystemConfig
-from repro.harness.experiment import PRIMITIVES
+from repro import SystemConfig
+from repro.core.registry import get_primitive
+from repro.harness.experiment import run_workload
 from repro.harness.tables import render_table
 from repro.workloads.micro import CollocatedCriticalSection, NullCriticalSection
 
 
 def run(primitive: str, collocated: bool, n_processors: int = 16) -> int:
-    policy, lock_kind = PRIMITIVES[primitive]
-    system = System(SystemConfig(n_processors=n_processors, policy=policy))
-    if collocated:
-        workload = CollocatedCriticalSection(
-            lock_kind=lock_kind, acquires_per_proc=15, think_cycles=80
-        )
-    else:
-        workload = NullCriticalSection(
-            lock_kind=lock_kind, acquires_per_proc=15, think_cycles=80
-        )
-    workload.build(system)
-    cycles = system.run()
-    workload.verify(system)
-    return cycles
+    cls = CollocatedCriticalSection if collocated else NullCriticalSection
+    workload = cls(
+        lock_kind=get_primitive(primitive).lock_kind,
+        acquires_per_proc=15,
+        think_cycles=80,
+    )
+    result = run_workload(
+        workload, SystemConfig(n_processors=n_processors), primitive=primitive
+    )
+    return result.cycles
 
 
 def main() -> None:

@@ -9,22 +9,23 @@ queue-based schemes keep the hand-off cost flat (one line transfer).
 Prints cycles-per-acquire for each primitive at each machine size.
 """
 
-from repro import System, SystemConfig
-from repro.harness.experiment import PRIMITIVES
+from repro import SystemConfig
+from repro.core.registry import get_primitive
+from repro.harness.experiment import run_workload
 from repro.harness.tables import render_table
 from repro.workloads.micro import NullCriticalSection
 
 
 def cycles_per_acquire(primitive: str, n_processors: int, acquires: int = 15):
-    policy, lock_kind = PRIMITIVES[primitive]
-    system = System(SystemConfig(n_processors=n_processors, policy=policy))
     workload = NullCriticalSection(
-        lock_kind=lock_kind, acquires_per_proc=acquires, think_cycles=60
+        lock_kind=get_primitive(primitive).lock_kind,
+        acquires_per_proc=acquires,
+        think_cycles=60,
     )
-    workload.build(system)
-    cycles = system.run()
-    workload.verify(system)
-    return cycles / (n_processors * acquires)
+    result = run_workload(
+        workload, SystemConfig(n_processors=n_processors), primitive=primitive
+    )
+    return result.cycles / (n_processors * acquires)
 
 
 def main() -> None:

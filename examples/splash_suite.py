@@ -16,7 +16,7 @@ quicker look.
 
 import sys
 
-from repro.harness.experiment import table3
+from repro.harness.experiment import table3_with_stats
 from repro.harness.tables import render_table3
 from repro.workloads.splash import APP_ORDER
 
@@ -32,7 +32,7 @@ PAPER_TABLE3 = {
 def main() -> None:
     n_processors = int(sys.argv[1]) if len(sys.argv) > 1 else 32
     apps = sys.argv[2:] or APP_ORDER
-    rows = table3(n_processors=n_processors, apps=apps)
+    rows, _stats = table3_with_stats(n_processors=n_processors, apps=apps)
     print(render_table3(rows, n_processors=n_processors))
     if n_processors == 32:
         print("\nPaper's Table 3 for comparison:")

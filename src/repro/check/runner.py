@@ -11,9 +11,9 @@ explores eight cells concurrently with bit-identical results.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
-from repro.check.explore import Budget, RunSpec, explore
+from repro.check.explore import Budget, ExploreReport, RunSpec, explore
 from repro.check.faults import FaultPlan
 from repro.check.scenarios import FABRICS, LADDER
 from repro.harness.runner import map_parallel
@@ -27,52 +27,12 @@ class CheckJob:
     budget: Budget
 
 
-@dataclasses.dataclass
-class JobResult:
-    """One cell's exploration, summarized for aggregation."""
-
-    label: str
-    spec: RunSpec
-    interleavings: int
-    violations: List[Dict[str, Any]]
-    statuses: Dict[str, int]
-    choice_points: int
-    pruned: int
-    frontier_left: int
-    max_depth_seen: int
-    handoffs: int
-    wall_time_s: float
-    fault_stats: Dict[str, int]
-    reduction: str = "none"
-    distinct_states: int = 0
-    pruned_sleep: int = 0
-    pruned_dpor: int = 0
-
-
-def run_job(job: CheckJob) -> JobResult:
+def run_job(job: CheckJob) -> ExploreReport:
     """Worker entry point: explore one cell."""
-    report = explore(job.spec, job.budget)
-    return JobResult(
-        label=job.spec.label(),
-        spec=job.spec,
-        interleavings=report.interleavings,
-        violations=report.violations,
-        statuses=report.statuses,
-        choice_points=report.choice_points,
-        pruned=report.pruned,
-        frontier_left=report.frontier_left,
-        max_depth_seen=report.max_depth_seen,
-        handoffs=report.handoffs,
-        wall_time_s=report.wall_time_s,
-        fault_stats=report.fault_stats,
-        reduction=report.reduction,
-        distinct_states=report.distinct_states,
-        pruned_sleep=report.pruned_sleep,
-        pruned_dpor=report.pruned_dpor,
-    )
+    return explore(job.spec, job.budget)
 
 
-def run_matrix(jobs: List[CheckJob], n_jobs: int = 1) -> List[JobResult]:
+def run_matrix(jobs: List[CheckJob], n_jobs: int = 1) -> List[ExploreReport]:
     """Run every job, in parallel when asked, in job order."""
     return map_parallel(run_job, jobs, n_jobs)
 

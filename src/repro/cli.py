@@ -25,11 +25,11 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.registry import interconnect_names, policy_names
+from repro.core.registry import interconnect_names, policy_names, primitive_names
 from repro.harness.cache import ResultCache
 from repro.harness.config import SystemConfig
 from repro.harness.diagram import render_sequence_diagram
-from repro.harness.experiment import PRIMITIVES, run_app, table3_with_stats
+from repro.harness.experiment import run_app, table3_with_stats
 from repro.harness.fairness import measure_lock_fairness
 from repro.harness.tables import (
     render_table,
@@ -306,7 +306,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     fault_stats: dict = {}
     for result in results:
         rows.append([
-            result.label,
+            result.spec.label(),
             f"{result.interleavings:,}",
             str(len(result.violations)),
             f"{result.choice_points:,}",
@@ -320,7 +320,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             fault_stats[key] = fault_stats.get(key, 0) + value
         if result.violations and args.out:
             os.makedirs(args.out, exist_ok=True)
-            slug = re.sub(r"[^A-Za-z0-9._-]+", "-", result.label)
+            slug = re.sub(r"[^A-Za-z0-9._-]+", "-", result.spec.label())
             for index, record in enumerate(result.violations):
                 counterexample = from_explore_violation(result.spec, record)
                 path = os.path.join(args.out, f"ce-{slug}-{index}.json")
@@ -340,7 +340,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print("fault-path counters:", json.dumps(exercised))
     for record in results:
         for violation in record.violations:
-            print(f"  {record.label}: {violation['violation']}")
+            print(f"  {record.spec.label()}: {violation['violation']}")
     for path in counterexamples:
         print(f"  counterexample: {path}", file=sys.stderr)
     if args.out:
@@ -360,7 +360,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     "counterexamples": counterexamples,
                     "cells": [
                         {
-                            "label": r.label,
+                            "label": r.spec.label(),
                             "spec": r.spec.to_dict(),
                             "interleavings": r.interleavings,
                             "violations": r.violations,
@@ -619,7 +619,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_policies(args: argparse.Namespace) -> int:
     print("protocol policies:", ", ".join(policy_names()))
-    print("primitives:", ", ".join(sorted(PRIMITIVES)))
+    print("primitives:", ", ".join(sorted(primitive_names())))
     print("interconnects:", ", ".join(interconnect_names()))
     return 0
 
@@ -652,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("run", help="run one benchmark on one primitive")
     pr.add_argument("app", choices=APP_ORDER)
-    pr.add_argument("--primitive", default="iqolb", choices=sorted(PRIMITIVES))
+    pr.add_argument("--primitive", default="iqolb", choices=sorted(primitive_names()))
     pr.add_argument("-p", "--processors", type=int, default=32)
     pr.add_argument("--interconnect", default="bus",
                     choices=interconnect_names(),
@@ -672,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="chrome trace_event JSON (Perfetto-loadable) "
                          "or JSON Lines (default: chrome)")
     pt.add_argument("--primitive", default="iqolb",
-                    choices=sorted(PRIMITIVES),
+                    choices=sorted(primitive_names()),
                     help="primitive for benchmark scenarios")
     pt.add_argument("-p", "--processors", type=int, default=8)
     pt.add_argument("--interconnect", default="bus",
@@ -683,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="latency percentiles and run manifest for one run"
     )
     ps.add_argument("app", choices=APP_ORDER)
-    ps.add_argument("--primitive", default="iqolb", choices=sorted(PRIMITIVES))
+    ps.add_argument("--primitive", default="iqolb", choices=sorted(primitive_names()))
     ps.add_argument("-p", "--processors", type=int, default=32)
     ps.add_argument("--interconnect", default="bus",
                     choices=interconnect_names(),
@@ -705,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="analytical throughput prediction — no simulation",
     )
     pp.add_argument("--primitive", nargs="+", metavar="PRIM",
-                    choices=sorted(PRIMITIVES),
+                    choices=sorted(primitive_names()),
                     help="primitives to model (default: the 5-rung ladder "
                          f"{' '.join(PREDICT_LADDER)})")
     pp.add_argument("--fabric", nargs="+", metavar="FABRIC",
@@ -745,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pq = sub.add_parser("fairness", help="measure lock fairness")
     pq.add_argument("--primitive", nargs="+", default=["tts", "iqolb", "qolb"],
-                    choices=sorted(PRIMITIVES))
+                    choices=sorted(primitive_names()))
     pq.add_argument("-p", "--processors", type=int, default=8)
     pq.add_argument("--interconnect", default="bus",
                     choices=interconnect_names(),
@@ -770,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "sleep sets, or sleep sets + dynamic backtrack "
                          "seeding (default: none — the exhaustive oracle)")
     pc.add_argument("--primitives", nargs="+", metavar="PRIM",
-                    choices=sorted(PRIMITIVES),
+                    choices=sorted(primitive_names()),
                     help="primitives to sweep (default: the 5-rung ladder)")
     pc.add_argument("--interconnects", nargs="+", metavar="FABRIC",
                     choices=interconnect_names(),

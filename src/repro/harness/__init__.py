@@ -4,13 +4,10 @@ from repro.harness.cache import ResultCache, default_cache_dir
 from repro.harness.config import SystemConfig, table1_rows
 from repro.harness.diagram import render_sequence_diagram
 from repro.harness.experiment import (
-    PRIMITIVES,
     RunResult,
     Table3Row,
     run_app,
     run_workload,
-    table3,
-    table3_row,
     table3_with_stats,
 )
 from repro.harness.fairness import FairnessReport, measure_lock_fairness
@@ -46,7 +43,6 @@ __all__ = [
     "FactorySpec",
     "FairnessReport",
     "MemoryLayout",
-    "PRIMITIVES",
     "ResultCache",
     "RunResult",
     "RunnerStats",
@@ -75,7 +71,5 @@ __all__ = [
     "sweep_config",
     "SweepResult",
     "table1_rows",
-    "table3",
-    "table3_row",
     "table3_with_stats",
 ]

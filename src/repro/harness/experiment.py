@@ -19,30 +19,16 @@ import dataclasses
 import time
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.core.registry import PRIMITIVE_SPECS, get_primitive
+from repro.core.registry import get_primitive
 from repro.harness.config import SystemConfig
 from repro.harness.system import System
 from repro.telemetry.manifest import RunManifest, workload_seed
 from repro.workloads.base import Workload
-from repro.workloads.splash import APP_ORDER, make_app
+from repro.workloads.splash import APP_ORDER
 
 if TYPE_CHECKING:  # pragma: no cover — avoids a runtime import cycle
     from repro.harness.cache import ResultCache
-    from repro.harness.runner import RunnerStats
-
-#: primitive name -> (protocol policy, lock kind), derived from the
-#: central registry (:data:`repro.core.registry.PRIMITIVE_SPECS`)
-PRIMITIVES: Dict[str, tuple] = {
-    name: (spec.policy, spec.lock_kind)
-    for name, spec in PRIMITIVE_SPECS.items()
-}
-
-
-def primitive_pair(primitive: str) -> tuple:
-    """``(policy, lock_kind)`` for a primitive; rejection of an
-    unregistered name lists the valid choices."""
-    spec = get_primitive(primitive)
-    return spec.policy, spec.lock_kind
+    from repro.harness.runner import CellSpec, RunnerStats
 
 
 @dataclasses.dataclass
@@ -83,15 +69,29 @@ def run_workload(
 ) -> RunResult:
     """Build a system, run a workload on a primitive, verify, report.
 
+    The primitive is the run's one identity: its registered policy
+    replaces ``config.policy``, and a workload that names a lock
+    (``lock_kind``) must name the primitive's own lock — otherwise the
+    run would execute one lock under another primitive's label, so it
+    raises ``ValueError`` instead.  Lock-free workloads (counters,
+    barriers) take only the policy.
+
     ``telemetry``, when given, is a
     :class:`~repro.telemetry.tracer.TraceDispatcher` wired to every
     emitter in the system for the duration of the run.
     """
     import repro
 
+    spec = get_primitive(primitive)
+    lock_kind = getattr(workload, "lock_kind", spec.lock_kind)
+    if lock_kind != spec.lock_kind:
+        raise ValueError(
+            f"workload {workload.name!r} runs the {lock_kind!r} lock, but "
+            f"primitive {primitive!r} runs the {spec.lock_kind!r} lock on "
+            f"the {spec.policy!r} policy"
+        )
     start = time.perf_counter()
-    policy, _lock_kind = primitive_pair(primitive)
-    run_config = config.with_(policy=policy)
+    run_config = config.with_(policy=spec.policy)
     system = System(run_config)
     if telemetry is not None:
         system.attach_telemetry(telemetry)
@@ -121,6 +121,36 @@ def run_workload(
     )
 
 
+def app_cell(
+    app_name: str,
+    primitive: str,
+    n_processors: int,
+    model_overrides: Optional[dict] = None,
+    config_overrides: Optional[dict] = None,
+    key: Optional[Tuple[Any, ...]] = None,
+) -> "CellSpec":
+    """The cell that runs one synthetic SPLASH-2 model under one
+    primitive — the one constructor behind :func:`run_app`,
+    :func:`app_signature` and :func:`table3_cells`.  ``key`` defaults
+    to ``(app_name, primitive)``."""
+    from repro.harness.runner import AppSpec, CellSpec
+
+    config = SystemConfig(n_processors=n_processors)
+    if config_overrides:
+        config = config.with_(**config_overrides)
+    return CellSpec(
+        key=key if key is not None else (app_name, primitive),
+        primitive=primitive,
+        config=config,
+        workload=AppSpec(
+            app_name=app_name,
+            lock_kind=get_primitive(primitive).lock_kind,
+            model_overrides=model_overrides,
+        ),
+        verify=False,
+    )
+
+
 def run_app(
     app_name: str,
     primitive: str,
@@ -130,13 +160,15 @@ def run_app(
     telemetry: Optional[Any] = None,
 ) -> RunResult:
     """Run one synthetic SPLASH-2 model under one primitive."""
-    policy, lock_kind = primitive_pair(primitive)
-    app = make_app(app_name, lock_kind=lock_kind, model_overrides=model_overrides)
-    config = SystemConfig(n_processors=n_processors, policy=policy)
-    if config_overrides:
-        config = config.with_(**config_overrides)
+    cell = app_cell(
+        app_name, primitive, n_processors, model_overrides, config_overrides
+    )
     return run_workload(
-        app, config, primitive=primitive, verify=False, telemetry=telemetry
+        cell.workload.make(),
+        cell.config,
+        primitive=primitive,
+        verify=cell.verify,
+        telemetry=telemetry,
     )
 
 
@@ -150,21 +182,19 @@ def app_signature(
     """The :class:`~repro.harness.signature.WorkloadSignature` that
     :func:`run_app` with the same arguments would simulate — the shared
     description ``repro run`` reports and ``repro predict`` models."""
-    from repro.harness.signature import WorkloadSignature
-
-    policy, lock_kind = primitive_pair(primitive)
-    app = make_app(
-        app_name, lock_kind=lock_kind, model_overrides=model_overrides
-    )
-    config = SystemConfig(n_processors=n_processors, policy=policy)
-    if config_overrides:
-        config = config.with_(**config_overrides)
-    return WorkloadSignature.from_workload(app, config, primitive)
+    return app_cell(
+        app_name, primitive, n_processors, model_overrides, config_overrides
+    ).signature()
 
 
 @dataclasses.dataclass
 class Table3Row:
-    """One benchmark's row of the paper's Table 3."""
+    """One benchmark's row of the paper's Table 3.
+
+    Absolute speedup is "the fraction of the running time on a single
+    node divided by the running time on a 32-node system" for TTS; QOLB
+    and IQOLB are reported relative to the TTS base case (paper §5).
+    """
 
     benchmark: str
     tts_absolute_speedup: float
@@ -174,33 +204,6 @@ class Table3Row:
     qolb_cycles: int
     iqolb_cycles: int
     uniprocessor_cycles: int
-
-
-def table3_row(
-    app_name: str,
-    n_processors: int = 32,
-    model_overrides: Optional[dict] = None,
-) -> Table3Row:
-    """Reproduce one row of Table 3.
-
-    Absolute speedup is "the fraction of the running time on a single
-    node divided by the running time on a 32-node system" for TTS; QOLB
-    and IQOLB are reported relative to the TTS base case (paper §5).
-    """
-    uni = run_app(app_name, "tts", 1, model_overrides)
-    tts = run_app(app_name, "tts", n_processors, model_overrides)
-    qolb = run_app(app_name, "qolb", n_processors, model_overrides)
-    iqolb = run_app(app_name, "iqolb", n_processors, model_overrides)
-    return Table3Row(
-        benchmark=app_name,
-        tts_absolute_speedup=uni.cycles / tts.cycles,
-        qolb_speedup=tts.cycles / qolb.cycles,
-        iqolb_speedup=tts.cycles / iqolb.cycles,
-        tts_cycles=tts.cycles,
-        qolb_cycles=qolb.cycles,
-        iqolb_cycles=iqolb.cycles,
-        uniprocessor_cycles=uni.cycles,
-    )
 
 
 def table3_cells(
@@ -214,30 +217,12 @@ def table3_cells(
     QOLB and IQOLB on the ``n_processors`` machine — keyed
     ``(app, label)`` so the grid reassembles into :class:`Table3Row`.
     """
-    from repro.harness.runner import AppSpec, CellSpec
-
     names = apps if apps is not None else APP_ORDER
     cells = []
     for name in names:
-        runs = [("uni", "tts", 1)] + [
-            (primitive, primitive, n_processors)
-            for primitive in ("tts", "qolb", "iqolb")
-        ]
-        for label, primitive, procs in runs:
-            policy, lock_kind = primitive_pair(primitive)
-            cells.append(
-                CellSpec(
-                    key=(name, label),
-                    primitive=primitive,
-                    config=SystemConfig(n_processors=procs, policy=policy),
-                    workload=AppSpec(
-                        app_name=name,
-                        lock_kind=lock_kind,
-                        model_overrides=model_overrides,
-                    ),
-                    verify=False,
-                )
-            )
+        cells.append(app_cell(name, "tts", 1, model_overrides, key=(name, "uni")))
+        for primitive in ("tts", "qolb", "iqolb"):
+            cells.append(app_cell(name, primitive, n_processors, model_overrides))
     return cells
 
 
@@ -249,7 +234,7 @@ def table3_with_stats(
     model_overrides: Optional[dict] = None,
     metrics_out: Optional[str] = None,
 ) -> Tuple[List[Table3Row], "RunnerStats"]:
-    """Reproduce Table 3 through the parallel runner.
+    """Reproduce the paper's Table 3 through the parallel runner.
 
     Returns the rows plus the :class:`~repro.harness.runner.RunnerStats`
     (simulated vs. cache-hit cell counts) for the batch.  With
@@ -283,21 +268,3 @@ def table3_with_stats(
             )
         )
     return rows, stats
-
-
-def table3(
-    n_processors: int = 32,
-    apps: Optional[List[str]] = None,
-    n_jobs: int = 1,
-    cache: Optional["ResultCache"] = None,
-    model_overrides: Optional[dict] = None,
-) -> List[Table3Row]:
-    """Reproduce the paper's Table 3 (all benchmarks)."""
-    rows, _stats = table3_with_stats(
-        n_processors,
-        apps,
-        n_jobs=n_jobs,
-        cache=cache,
-        model_overrides=model_overrides,
-    )
-    return rows

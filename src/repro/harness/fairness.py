@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from repro.cpu.ops import Compute, Read, Write
+from repro.core.registry import get_primitive
 from repro.harness.config import SystemConfig
-from repro.harness.experiment import PRIMITIVES
+from repro.harness.experiment import run_workload
 from repro.harness.system import System
-from repro.workloads.base import LockSet
+from repro.workloads.micro import NullCriticalSection
 
 
 @dataclasses.dataclass
@@ -91,6 +91,23 @@ def jain_index(per_thread_totals: Dict[int, int]) -> float:
     return numerator / denominator
 
 
+class _TimedCriticalSection(NullCriticalSection):
+    """The null critical section, recording each acquire's arrival (the
+    call into the lock) and grant (its return) cycle."""
+
+    def build(self, system: System) -> None:
+        super().build(system)
+        self.acquisitions: List[Acquisition] = []
+        sim, acquire = system.sim, self.lockset.acquire
+
+        def timed_acquire(index: int, tid: int) -> Iterator:
+            arrival = sim.now
+            yield from acquire(index, tid)
+            self.acquisitions.append(Acquisition(tid, arrival, sim.now))
+
+        self.lockset.acquire = timed_acquire
+
+
 def measure_lock_fairness(
     primitive: str,
     n_processors: int = 8,
@@ -99,33 +116,16 @@ def measure_lock_fairness(
     config_overrides: dict = None,
 ) -> FairnessReport:
     """Run a contended lock and report fairness metrics."""
-    policy, lock_kind = PRIMITIVES[primitive]
-    config = SystemConfig(n_processors=n_processors, policy=policy)
+    workload = _TimedCriticalSection(
+        get_primitive(primitive).lock_kind,
+        acquires_per_proc=acquires_per_proc,
+        think_cycles=think_cycles,
+    )
+    config = SystemConfig(n_processors=n_processors)
     if config_overrides:
         config = config.with_(**config_overrides)
-    system = System(config)
-    lockset = LockSet(lock_kind, system, n_locks=1, n_threads=n_processors)
-    token = system.layout.alloc_line()
-    acquisitions: List[Acquisition] = []
-    sim = system.sim
-
-    def worker(tid: int):
-        for _ in range(acquires_per_proc):
-            arrival = sim.now
-            yield from lockset.acquire(0, tid)
-            acquisitions.append(Acquisition(tid, arrival, sim.now))
-            value = yield Read(token)
-            yield Write(token, value + 1)
-            yield from lockset.release(0, tid)
-            yield Compute(think_cycles)
-
-    for node in range(n_processors):
-        system.load_program(node, worker(node))
-    system.run()
-    expected = n_processors * acquires_per_proc
-    actual = system.read_word(token)
-    if actual != expected:
-        raise AssertionError(f"mutual exclusion violated: {actual} != {expected}")
+    run_workload(workload, config, primitive=primitive)
+    acquisitions = workload.acquisitions
 
     waits = [a.wait for a in acquisitions]
     mean, worst, cv = _wait_stats(waits)

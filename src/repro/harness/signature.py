@@ -103,17 +103,12 @@ class WorkloadSignature:
         n = config.n_processors
         fabric = config.interconnect
         if isinstance(workload, NullCriticalSection):
-            return cls(
-                kind=KIND_LOCK,
-                workload=workload.name,
-                primitive=primitive,
-                fabric=fabric,
-                n_processors=n,
-                total_ops=n * workload.acquires_per_proc,
-                n_locks=1,
-                cs_reads=1,
-                cs_writes=1,
-                local_compute=workload.think_cycles,
+            return cls.micro_lock(
+                primitive,
+                fabric,
+                n,
+                acquires_per_proc=workload.acquires_per_proc,
+                think_cycles=workload.think_cycles,
             )
         if isinstance(workload, CollocatedCriticalSection):
             return cls(

@@ -19,9 +19,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.registry import get_primitive
 from repro.harness.cache import ResultCache
 from repro.harness.config import SystemConfig
-from repro.harness.experiment import PRIMITIVES, RunResult
+from repro.harness.experiment import RunResult
 from repro.harness.runner import CellSpec, FactorySpec, RunnerStats, run_cells
 from repro.harness.tables import render_table
 from repro.workloads.base import Workload
@@ -77,6 +78,44 @@ class SweepResult:
         return render_table(headers, body, title=title)
 
 
+def _sweep(
+    workload_factory: Callable[[str], Workload],
+    primitives: Sequence[str],
+    col_axis: str,
+    cols: Sequence[Any],
+    config_for: Callable[[Any], SystemConfig],
+    verify: bool,
+    n_jobs: int,
+    cache: Optional[ResultCache],
+) -> SweepResult:
+    """The cells of both sweeps, made in one place: cell ``(primitive, col)``
+    runs ``workload_factory`` on the primitive's own lock under
+    ``config_for(col)``, and :func:`run_workload` applies its policy."""
+    specs = [
+        CellSpec(
+            key=(primitive, col),
+            primitive=primitive,
+            config=config_for(col),
+            workload=FactorySpec(
+                workload_factory, get_primitive(primitive).lock_kind
+            ),
+            verify=verify,
+        )
+        for primitive in primitives
+        for col in cols
+    ]
+    grid, stats = run_cells(specs, n_jobs=n_jobs, cache=cache)
+    return SweepResult(
+        row_axis="primitive",
+        col_axis=col_axis,
+        rows=list(primitives),
+        cols=list(cols),
+        grid=grid,
+        runner_stats=stats,
+        signatures={spec.key: spec.signature() for spec in specs},
+    )
+
+
 def sweep(
     workload_factory: Callable[[str], Workload],
     primitives: Sequence[str],
@@ -93,31 +132,15 @@ def sweep(
     execution the factory must be picklable (a module-level callable or
     ``functools.partial``); otherwise the sweep runs serially.
     """
-    specs = []
-    for primitive in primitives:
-        policy, lock_kind = PRIMITIVES[primitive]
-        for n in processor_counts:
-            config = SystemConfig(n_processors=n, policy=policy)
-            if config_overrides:
-                config = config.with_(**config_overrides)
-            specs.append(
-                CellSpec(
-                    key=(primitive, n),
-                    primitive=primitive,
-                    config=config,
-                    workload=FactorySpec(workload_factory, lock_kind),
-                    verify=verify,
-                )
-            )
-    grid, stats = run_cells(specs, n_jobs=n_jobs, cache=cache)
-    return SweepResult(
-        row_axis="primitive",
-        col_axis="procs",
-        rows=list(primitives),
-        cols=list(processor_counts),
-        grid=grid,
-        runner_stats=stats,
-        signatures={spec.key: spec.signature() for spec in specs},
+    return _sweep(
+        workload_factory,
+        primitives,
+        "procs",
+        processor_counts,
+        lambda n: SystemConfig(n_processors=n, **(config_overrides or {})),
+        verify,
+        n_jobs,
+        cache,
     )
 
 
@@ -132,28 +155,15 @@ def sweep_config(
     cache: Optional[ResultCache] = None,
 ) -> SweepResult:
     """Sweep one SystemConfig field for a single primitive."""
-    policy, lock_kind = PRIMITIVES[primitive]
-    specs = []
-    for value in axis_values:
-        config = SystemConfig(
-            n_processors=n_processors, policy=policy, **{axis_name: value}
-        )
-        specs.append(
-            CellSpec(
-                key=(primitive, value),
-                primitive=primitive,
-                config=config,
-                workload=FactorySpec(workload_factory, lock_kind),
-                verify=verify,
-            )
-        )
-    grid, stats = run_cells(specs, n_jobs=n_jobs, cache=cache)
-    return SweepResult(
-        row_axis="primitive",
-        col_axis=axis_name,
-        rows=[primitive],
-        cols=list(axis_values),
-        grid=grid,
-        runner_stats=stats,
-        signatures={spec.key: spec.signature() for spec in specs},
+    return _sweep(
+        workload_factory,
+        [primitive],
+        axis_name,
+        axis_values,
+        lambda value: SystemConfig(
+            n_processors=n_processors, **{axis_name: value}
+        ),
+        verify,
+        n_jobs,
+        cache,
     )

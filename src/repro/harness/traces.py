@@ -26,8 +26,9 @@ class TraceRecorder(TraceSink):
     """An in-memory sink with the filtering/rendering API tests use.
 
     A recorder owns a :class:`TraceDispatcher` and attaches itself as the
-    first sink, so it can be used either standalone (call the hooks
-    directly) or as the hub other sinks join via ``attach``/``sinks=``.
+    first sink; events reach it through ``recorder.dispatcher`` (wire it
+    to a system with ``attach_telemetry``, or call its hooks directly),
+    and other sinks join the same dispatcher via ``attach``/``sinks=``.
     """
 
     def __init__(self, sinks: Iterable[TraceSink] = ()) -> None:
@@ -40,15 +41,6 @@ class TraceRecorder(TraceSink):
     # TraceSink interface -------------------------------------------------
     def emit(self, event: TelemetryEvent) -> None:
         self.events.append(event)
-
-    # hook signatures match CacheController.tracer and AddressBus.observer
-    def controller_hook(
-        self, event: str, time: int, node: int, line_addr: int, info: dict
-    ) -> None:
-        self.dispatcher.controller_hook(event, time, node, line_addr, info)
-
-    def bus_hook(self, time, txn, supplier, shared, deferred) -> None:
-        self.dispatcher.bus_hook(time, txn, supplier, shared, deferred)
 
     def filtered(
         self, line_addr: Optional[int] = None, kinds: Optional[List[str]] = None

@@ -6,10 +6,11 @@ key it (workload name, primitive, processor count) — but not the
 workload constructor parameters the cell ran with.  Those constants
 live in the bench scripts (``benchmarks/bench_*.py``).  This module is
 the bridge: for each artifact it knows the bench's constants, rebuilds
-the workload object, and extracts its
-:class:`~repro.harness.signature.WorkloadSignature` through the same
-``from_workload`` path the runner uses — so a predicted cell and a
-simulated cell are described by literally the same code.
+the workload's :class:`~repro.harness.signature.WorkloadSignature` —
+through the same ``from_workload`` path the runner uses, or, for the
+null critical section, through :meth:`WorkloadSignature.micro_lock`,
+which ``from_workload`` itself uses for that shape (the signature never
+reads the lock, so no workload needs building).
 
 The constants here mirror the bench scripts; ``tests/test_predict_validate``
 cross-checks them against the artifacts' recorded identities.
@@ -52,40 +53,37 @@ class ObservedCell:
         return self.observed_cycles / max(1, self.signature.total_ops)
 
 
-def _signature_of(workload: Any, fabric: str, n: int, primitive: str):
-    config = SystemConfig().with_(n_processors=n, interconnect=fabric)
-    return WorkloadSignature.from_workload(workload, config, primitive)
-
-
 def _dir_scaling_signature(cell: Dict[str, Any]) -> Optional[WorkloadSignature]:
-    from repro.workloads.micro import NullCriticalSection
-
     fabric, primitive, n = cell["key"]
-    workload = NullCriticalSection(
-        lock_kind="tts",
+    return WorkloadSignature.micro_lock(
+        primitive,
+        fabric,
+        int(n),
         acquires_per_proc=DIR_SCALING_ACQUIRES,
         think_cycles=DIR_SCALING_THINK,
     )
-    return _signature_of(workload, fabric, int(n), primitive)
 
 
 def _fig1_signature(cell: Dict[str, Any]) -> Optional[WorkloadSignature]:
-    from repro.workloads.micro import ContendedCounter, NullCriticalSection
+    from repro.workloads.micro import ContendedCounter
 
     primitive, shape = cell["key"]
     n = int(cell["n_processors"])
     if shape == "lock":
-        workload: Any = NullCriticalSection(
-            lock_kind="tts",
+        return WorkloadSignature.micro_lock(
+            primitive,
+            "bus",
+            n,
             acquires_per_proc=FIG1_LOCK_ACQUIRES,
             think_cycles=FIG1_LOCK_THINK,
         )
-    else:
-        workload = ContendedCounter(
-            increments_per_proc=FIG1_RMW_INCREMENTS,
-            think_cycles=FIG1_RMW_THINK,
-        )
-    return _signature_of(workload, "bus", n, primitive)
+    counter = ContendedCounter(
+        increments_per_proc=FIG1_RMW_INCREMENTS,
+        think_cycles=FIG1_RMW_THINK,
+    )
+    return WorkloadSignature.from_workload(
+        counter, SystemConfig(n_processors=n, interconnect="bus"), primitive
+    )
 
 
 def _table3_signature(cell: Dict[str, Any]) -> Optional[WorkloadSignature]:

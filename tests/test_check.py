@@ -227,7 +227,9 @@ class TestMatrixRunner:
         ]
         serial = run_matrix(jobs, n_jobs=1)
         parallel = run_matrix(jobs, n_jobs=2)
-        assert [r.label for r in serial] == [r.label for r in parallel]
+        assert [r.spec.label() for r in serial] == [
+            r.spec.label() for r in parallel
+        ]
         assert [r.interleavings for r in serial] == [
             r.interleavings for r in parallel
         ]

@@ -2,26 +2,25 @@
 
 import pytest
 
+from repro.core.registry import get_primitive
 from repro.harness.config import SystemConfig
-from repro.harness.experiment import PRIMITIVES, run_workload
+from repro.harness.experiment import run_workload
 from repro.workloads.pipeline import ProducerConsumer, ReaderHeavy
 
 
 def run(workload, primitive, n):
-    policy, _ = PRIMITIVES[primitive]
-    config = SystemConfig(n_processors=n, policy=policy)
-    return run_workload(workload, config, primitive=primitive)
+    return run_workload(workload, SystemConfig(n_processors=n), primitive=primitive)
 
 
 class TestProducerConsumer:
     @pytest.mark.parametrize("primitive", ["tts", "iqolb", "qolb", "mcs"])
     def test_all_items_flow_exactly_once(self, primitive):
-        _, lock_kind = PRIMITIVES[primitive]
+        lock_kind = get_primitive(primitive).lock_kind
         workload = ProducerConsumer(lock_kind=lock_kind, items_per_producer=8)
         run(workload, primitive, 4)  # verify() checks count and checksum
 
     def test_small_queue_forces_backpressure(self):
-        _, lock_kind = PRIMITIVES["iqolb"]
+        lock_kind = get_primitive("iqolb").lock_kind
         workload = ProducerConsumer(
             lock_kind=lock_kind, items_per_producer=10, queue_capacity=2
         )
@@ -29,7 +28,7 @@ class TestProducerConsumer:
         assert result.cycles > 0
 
     def test_more_consumers_than_producers(self):
-        _, lock_kind = PRIMITIVES["iqolb"]
+        lock_kind = get_primitive("iqolb").lock_kind
         workload = ProducerConsumer(lock_kind=lock_kind, items_per_producer=9)
         run(workload, "iqolb", 5)  # 2 producers, 3 consumers
 
@@ -59,7 +58,7 @@ class TestProducerConsumer:
 class TestReaderHeavy:
     @pytest.mark.parametrize("primitive", ["tts", "iqolb", "qolb"])
     def test_no_torn_reads(self, primitive):
-        _, lock_kind = PRIMITIVES[primitive]
+        lock_kind = get_primitive(primitive).lock_kind
         workload = ReaderHeavy(lock_kind=lock_kind, updates=8,
                                reads_per_reader=12)
         run(workload, primitive, 4)  # verify() checks for torn reads

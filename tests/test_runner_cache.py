@@ -5,9 +5,10 @@ import json
 import os
 
 import repro
+from repro.core.registry import get_primitive
 from repro.harness.cache import ResultCache, source_fingerprint
 from repro.harness.config import SystemConfig
-from repro.harness.experiment import PRIMITIVES, table3_with_stats
+from repro.harness.experiment import table3_with_stats
 from repro.harness.runner import CellSpec, FactorySpec, run_cells
 from repro.harness.sweep import sweep
 from repro.telemetry.manifest import stable_hash
@@ -23,12 +24,11 @@ FAST_MODEL = {"total_work": 64, "local_compute": 200, "serial_compute": 500}
 
 
 def make_spec(primitive="iqolb", n=2, verify=True, factory=fast_factory):
-    policy, lock_kind = PRIMITIVES[primitive]
     return CellSpec(
         key=(primitive, n),
         primitive=primitive,
-        config=SystemConfig(n_processors=n, policy=policy),
-        workload=FactorySpec(factory, lock_kind),
+        config=SystemConfig(n_processors=n),
+        workload=FactorySpec(factory, get_primitive(primitive).lock_kind),
         verify=verify,
     )
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.registry import get_primitive
 from repro.harness.config import SystemConfig
 from repro.harness.experiment import run_workload
 from repro.harness.report import render_report, report_rows
@@ -67,13 +68,10 @@ class TestSweep:
 
 class TestReport:
     def _result(self, primitive="iqolb"):
-        from repro.harness.experiment import PRIMITIVES
-
-        policy, lock_kind = PRIMITIVES[primitive]
-        config = SystemConfig(n_processors=4, policy=policy)
+        lock_kind = get_primitive(primitive).lock_kind
         return run_workload(
             NullCriticalSection(lock_kind=lock_kind, acquires_per_proc=6),
-            config,
+            SystemConfig(n_processors=4),
             primitive=primitive,
         )
 

@@ -239,7 +239,7 @@ class TestRunManifest:
 
     def test_seed_extracted_from_app_model(self):
         app = make_app("barnes", lock_kind="tts")
-        config = SystemConfig(n_processors=2, policy="iqolb")
+        config = SystemConfig(n_processors=2)
         result = run_workload(app, config, primitive="iqolb", verify=False)
         assert result.manifest.seed == app.model.seed
 

@@ -11,7 +11,8 @@ from repro.harness.traces import (
 class TestTraceRecorder:
     def test_controller_hook_records(self):
         recorder = TraceRecorder()
-        recorder.controller_hook("ll", 10, 2, 0x100, {"value": 1})
+        hook = recorder.dispatcher.controller_hook
+        hook("ll", 10, 2, 0x100, {"value": 1})
         (event,) = recorder.events
         assert event.kind == "ll"
         assert event.node == 2
@@ -19,23 +20,26 @@ class TestTraceRecorder:
 
     def test_filtering(self):
         recorder = TraceRecorder()
-        recorder.controller_hook("ll", 1, 0, 0x100, {})
-        recorder.controller_hook("sc", 2, 0, 0x100, {})
-        recorder.controller_hook("ll", 3, 0, 0x200, {})
+        hook = recorder.dispatcher.controller_hook
+        hook("ll", 1, 0, 0x100, {})
+        hook("sc", 2, 0, 0x100, {})
+        hook("ll", 3, 0, 0x200, {})
         assert len(recorder.filtered(line_addr=0x100)) == 2
         assert len(recorder.filtered(kinds=["ll"])) == 2
         assert recorder.count("sc", 0x100) == 1
 
     def test_render(self):
         recorder = TraceRecorder()
-        recorder.controller_hook("defer", 5, 1, 0x100, {"requester": 2})
+        hook = recorder.dispatcher.controller_hook
+        hook("defer", 5, 1, 0x100, {"requester": 2})
         text = recorder.render()
         assert "P1" in text and "defer" in text and "requester=2" in text
 
     def test_render_limit(self):
         recorder = TraceRecorder()
+        hook = recorder.dispatcher.controller_hook
         for i in range(10):
-            recorder.controller_hook("x", i, 0, 0x100, {})
+            hook("x", i, 0, 0x100, {})
         assert len(recorder.render(limit=3).splitlines()) == 3
 
 

@@ -3,8 +3,9 @@
 import pytest
 
 from conftest import build_system
+from repro.core.registry import get_primitive
 from repro.harness.config import SystemConfig
-from repro.harness.experiment import PRIMITIVES, run_workload
+from repro.harness.experiment import run_workload
 from repro.workloads.base import LOCK_KINDS, LockSet
 from repro.workloads.micro import (
     CollocatedCriticalSection,
@@ -72,27 +73,25 @@ class TestLockSet:
 
 class TestMicroWorkloads:
     def test_contended_counter_verifies(self, main_policy):
-        config = SystemConfig(n_processors=3, policy=PRIMITIVES["tts"][0])
+        config = SystemConfig(n_processors=3)
         workload = ContendedCounter(increments_per_proc=10)
         result = run_workload(workload, config, primitive="tts")
         assert result.cycles > 0
 
     def test_null_cs_all_primitives(self):
         for primitive in ("tts", "iqolb", "qolb", "ticket", "mcs"):
-            policy, lock_kind = PRIMITIVES[primitive]
-            config = SystemConfig(n_processors=3, policy=policy)
             workload = NullCriticalSection(
-                lock_kind=lock_kind, acquires_per_proc=6
+                lock_kind=get_primitive(primitive).lock_kind, acquires_per_proc=6
             )
-            run_workload(workload, config, primitive=primitive)
+            run_workload(workload, SystemConfig(n_processors=3), primitive=primitive)
 
     def test_collocated_cs(self):
-        config = SystemConfig(n_processors=3, policy="iqolb")
+        config = SystemConfig(n_processors=3)
         workload = CollocatedCriticalSection(lock_kind="tts", acquires_per_proc=6)
         run_workload(workload, config, primitive="iqolb")
 
     def test_verify_catches_corruption(self):
-        config = SystemConfig(n_processors=2, policy="baseline")
+        config = SystemConfig(n_processors=2)
         workload = ContendedCounter(increments_per_proc=5)
         result = run_workload(workload, config, primitive="tts")
         # sabotage the expectation: verify must raise
@@ -115,13 +114,13 @@ class TestSyntheticApps:
             lock_kind="tts",
             model_overrides={"total_work": 32, "phases": 2},
         )
-        config = SystemConfig(n_processors=4, policy="iqolb")
+        config = SystemConfig(n_processors=4)
         result = run_workload(app, config, primitive="iqolb", verify=False)
         assert result.cycles > 0
 
     def test_work_conservation_divisibility_enforced(self):
         app = make_app("raytrace", model_overrides={"total_work": 30})
-        config = SystemConfig(n_processors=4, policy="baseline")
+        config = SystemConfig(n_processors=4)
         with pytest.raises(ValueError):
             run_workload(app, config, primitive="tts", verify=False)
 
@@ -131,7 +130,7 @@ class TestSyntheticApps:
                 "radiosity",
                 model_overrides={"total_work": 32, "phases": 2},
             )
-            config = SystemConfig(n_processors=4, policy="baseline")
+            config = SystemConfig(n_processors=4)
             return run_workload(app, config, primitive="tts", verify=False).cycles
 
         assert one_run() == one_run()
@@ -142,7 +141,7 @@ class TestSyntheticApps:
                 "radiosity",
                 model_overrides={"total_work": 32, "phases": 2, "seed": seed},
             )
-            config = SystemConfig(n_processors=4, policy="baseline")
+            config = SystemConfig(n_processors=4)
             return run_workload(app, config, primitive="tts", verify=False).cycles
 
         assert one_run(1) != one_run(2)
@@ -152,7 +151,7 @@ class TestSyntheticApps:
         app = make_app(
             "raytrace", model_overrides={"total_work": 32, "phases": 2}
         )
-        config = SystemConfig(n_processors=4, policy="iqolb")
+        config = SystemConfig(n_processors=4)
         result = run_workload(app, config, primitive="iqolb", verify=False)
         # one lock + one data line + barrier words: tiny footprint
         assert result.stat("deferrals") > 0
