@@ -34,7 +34,7 @@ def run_job(job: CheckJob) -> ExploreReport:
 
 def run_matrix(jobs: List[CheckJob], n_jobs: int = 1) -> List[ExploreReport]:
     """Run every job, in parallel when asked, in job order."""
-    return map_parallel(run_job, jobs, n_jobs)
+    return list(map_parallel(run_job, jobs, n_jobs))
 
 
 def smoke_jobs(

@@ -41,7 +41,6 @@ from repro.engine.stats import StatsRegistry
 from repro.interconnect.bus import AddressBus, BusClient
 from repro.interconnect.crossbar import Crossbar
 from repro.interconnect.messages import (
-    DEFERRABLE_OPS,
     BusOp,
     BusTransaction,
     DataKind,
@@ -54,6 +53,16 @@ from repro.mem.hierarchy import NodeCacheHierarchy
 from repro.mem.line import CacheLine, State
 
 _TEAROFF = State.TEAROFF
+_SHARED = State.SHARED
+# Identity-test aliases for the snoop and issue paths (see
+# repro.interconnect.messages): DEFERRABLE_OPS is LPRFO/QOLB_ENQ and
+# DATA_OPS is GETS/GETX/LPRFO/QOLB_ENQ.
+_GETS = BusOp.GETS
+_GETX = BusOp.GETX
+_UPGRADE = BusOp.UPGRADE
+_LPRFO = BusOp.LPRFO
+_QOLB = BusOp.QOLB_ENQ
+_WRITEBACK = BusOp.WRITEBACK
 
 
 class Obligation:
@@ -517,7 +526,8 @@ class CacheController(BusClient):
         if mshr.txn is None:
             return
         if mshr.issued:
-            if mshr.txn.op in (BusOp.GETS, BusOp.GETX, BusOp.LPRFO, BusOp.QOLB_ENQ):
+            op = mshr.txn.op
+            if op is _GETS or op is _GETX or op is _LPRFO or op is _QOLB:
                 self.bus.transaction_complete(mshr.txn)
         else:
             mshr.txn.cancelled = True
@@ -532,13 +542,13 @@ class CacheController(BusClient):
         shared: bool,
         deferred: bool,
     ) -> None:
-        if txn.op is BusOp.WRITEBACK:
+        if txn.op is _WRITEBACK:
             return
         mshr = self.mshrs.get(txn.line_addr)
         if mshr is None or mshr.txn is not txn:
             return  # superseded (e.g. squashed and reissued)
         mshr.issued = True
-        if txn.op is BusOp.UPGRADE:
+        if txn.op is _UPGRADE:
             self._complete_upgrade(mshr)
             return
         if deferred:
@@ -570,17 +580,35 @@ class CacheController(BusClient):
     # ==================================================================
     # Bus client: snooping
     # ==================================================================
+    def holds_nothing(self, line_addr: int) -> bool:
+        """No line, MSHR, obligation, successor, loan or push for it.
+
+        Every snoop path below returns an empty reply and changes nothing
+        when this holds, which is what lets the bus stop snooping us for
+        the line.
+        """
+        return (
+            self.hierarchy.peek(line_addr) is None
+            and line_addr not in self.mshrs
+            and line_addr not in self.obligations
+            and line_addr not in self.successor
+            and line_addr not in self.on_loan
+            and line_addr not in self.forwarded
+            and line_addr not in self.loan_return_to
+        )
+
     def snoop(self, txn: BusTransaction) -> SnoopReply:
-        if txn.op is BusOp.WRITEBACK:
+        op = txn.op
+        if op is _WRITEBACK:
             return SnoopReply()
         line = self.hierarchy.peek(txn.line_addr)
 
         # Distributed-queue bookkeeping: the tail of the queue claims the
         # new requestor as its successor (paper §3.2).
-        if txn.op in DEFERRABLE_OPS:
+        if op is _LPRFO or op is _QOLB:
             self._maybe_claim_successor(txn)
 
-        if txn.op is BusOp.GETS:
+        if op is _GETS:
             return self._snoop_gets(txn, line)
         return self._snoop_ownership(txn, line)
 
@@ -609,7 +637,7 @@ class CacheController(BusClient):
             # the bus ignores this; if the line is in flight to us, the
             # retry keeps memory from supplying stale data.
             return SnoopReply(retry=True)
-        if line is None or line.state is State.TEAROFF:
+        if line is None or line.state is _TEAROFF:
             return SnoopReply()
         if line.is_owner and txn.line_addr in self.loan_return_to:
             # Borrowed line: stay silent; the lender answers for it.
@@ -626,7 +654,7 @@ class CacheController(BusClient):
                 State.SHARED if line.state is State.EXCLUSIVE else State.OWNED
             )
             return SnoopReply(supply=True, shared=True)
-        if line.state is State.SHARED:
+        if line.state is _SHARED:
             return SnoopReply(shared=True)
         return SnoopReply()
 
@@ -634,6 +662,7 @@ class CacheController(BusClient):
         self, txn: BusTransaction, line: Optional[CacheLine]
     ) -> SnoopReply:
         line_addr = txn.line_addr
+        op = txn.op
         self._squash_upgrade_if_raced(txn)
 
         if line_addr in self.forwarded:
@@ -645,7 +674,7 @@ class CacheController(BusClient):
             # We lent the line out.  We answer for it: the queue will
             # serve low-priority requests; high-priority ones must wait
             # out the loan (NACK/retry, a short bounded window).
-            if txn.op in DEFERRABLE_OPS:
+            if op is _LPRFO or op is _QOLB:
                 return SnoopReply(defer=True)
             return SnoopReply(retry=True)
 
@@ -656,11 +685,11 @@ class CacheController(BusClient):
             # regular RFO either gets the line from the current owner (our
             # retry is then ignored; post_snoop may break the queue down)
             # or must retry while the line is in flight.
-            if txn.op in DEFERRABLE_OPS:
+            if op is _LPRFO or op is _QOLB:
                 return SnoopReply(defer=True)
             return SnoopReply(retry=True)
 
-        if line is None or line.state is State.TEAROFF:
+        if line is None or line.state is _TEAROFF:
             # Tear-offs are not coherent copies; nothing to invalidate.
             return SnoopReply()
 
@@ -676,7 +705,7 @@ class CacheController(BusClient):
             # loan can return undisturbed.
             return SnoopReply(retry=True)
 
-        if txn.op in DEFERRABLE_OPS:
+        if op is _LPRFO or op is _QOLB:
             decision = self.policy.should_defer(txn, line)
             if decision.defer:
                 self._register_deferral(txn, line, decision.tearoff)
@@ -686,14 +715,14 @@ class CacheController(BusClient):
 
         # ---- regular RFO / upgrade: must be served promptly ----
         if line_addr in self.obligations:
-            if self.policy.queue_retention and txn.op is BusOp.GETX:
+            if self.policy.queue_retention and op is _GETX:
                 self._lend_line(txn.requester, line, txn.txn_id)
                 return SnoopReply(supply=True)
             self._cancel_obligation(line_addr)
             self.successor.pop(line_addr, None)
             self._count("queue_breakdowns")
             self._trace("queue_breakdown", line_addr, cause=txn.requester)
-        if txn.op is BusOp.UPGRADE:
+        if op is _UPGRADE:
             if line.state in (State.MODIFIED, State.EXCLUSIVE):
                 # The requester cannot hold a valid copy while we are M/E:
                 # this upgrade is stale (its SC already failed); ignore it
@@ -716,9 +745,10 @@ class CacheController(BusClient):
         served by the owner; while the line is in flight the transaction
         is being retried and the queue must stay intact.
         """
-        if txn.op in DEFERRABLE_OPS or txn.op in (BusOp.GETS, BusOp.WRITEBACK):
-            return
-        if not supplied and txn.op is not BusOp.UPGRADE:
+        op = txn.op
+        if op is not _GETX and op is not _UPGRADE:
+            return  # deferrable, read or writeback: no second phase
+        if not supplied and op is not _UPGRADE:
             return  # line in flight; the bus is retrying the RFO
         mshr = self.mshrs.get(txn.line_addr)
         if mshr is None or not mshr.queued:
@@ -738,7 +768,7 @@ class CacheController(BusClient):
     def _squash_upgrade_if_raced(self, txn: BusTransaction) -> None:
         """Another node won ownership first: our pending UPGRADE dies."""
         mshr = self.mshrs.get(txn.line_addr)
-        if mshr is None or mshr.txn is None or mshr.txn.op is not BusOp.UPGRADE:
+        if mshr is None or mshr.txn is None or mshr.txn.op is not _UPGRADE:
             return
         mshr.txn.cancelled = True
         done = mshr.take_waiter()

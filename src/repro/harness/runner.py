@@ -21,7 +21,17 @@ import dataclasses
 import pickle
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    TextIO,
+    Tuple,
+)
 
 from repro.harness.cache import ResultCache
 from repro.harness.config import SystemConfig
@@ -172,31 +182,40 @@ def _picklable(*objects: Any) -> bool:
 
 def map_parallel(
     fn: Callable[[Any], Any], items: Sequence[Any], n_jobs: int
-) -> List[Any]:
-    """``[fn(item) for item in items]`` across a worker-process pool.
+) -> Iterator[Any]:
+    """Yield ``fn(item)`` for each item, in item order, across a pool.
 
     The generic engine behind :func:`run_cells`, reused by any batch of
     independent deterministic jobs (e.g. ``repro check``'s per-config
-    explorations).  Results come back in item order.  Falls back to an
-    in-process serial loop when parallelism cannot help (one job, one
-    item), when ``fn``/items are unpicklable, or when the platform cannot
-    start worker processes — the results are identical either way.
+    explorations).  Each result is yielded as soon as it and every
+    earlier one are done, so a caller can keep finished results even if
+    a later item raises.  Falls back to an in-process serial loop when
+    parallelism cannot help (one job, one item), when ``fn``/items are
+    unpicklable, or when the platform cannot start worker processes —
+    the results are identical either way; a pool that fails midway
+    leaves the remaining items to the serial loop.
     """
-    if n_jobs > 1 and len(items) > 1 and _picklable(fn, list(items)):
+    items = list(items)
+    done = 0
+    if n_jobs > 1 and len(items) > 1 and _picklable(fn, items):
         workers = min(n_jobs, len(items))
         try:
             with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers
             ) as pool:
-                return list(pool.map(fn, items))
+                for result in pool.map(fn, items):
+                    done += 1
+                    yield result
+            return
         except (OSError, ValueError, concurrent.futures.BrokenExecutor):
             pass  # no fork/spawn available — fall through to serial
-    return [fn(item) for item in items]
+    for item in items[done:]:
+        yield fn(item)
 
 
 def _execute_batch(
     specs: Sequence[CellSpec], n_jobs: int
-) -> List[RunResult]:
+) -> Iterator[RunResult]:
     """Execute specs in order; parallel when possible, serial otherwise."""
     return map_parallel(execute_cell, specs, n_jobs)
 
@@ -225,6 +244,8 @@ def run_cells(
         else:
             pending.append(spec)
     if pending:
+        # Each finished cell is cached before the next one is awaited, so
+        # a cell that raises loses no earlier cell's work.
         for spec, result in zip(pending, _execute_batch(pending, n_jobs)):
             results[spec.key] = result
             stats.executed += 1

@@ -3,6 +3,7 @@
 from repro.interconnect.bus import AddressBus, BusClient
 from repro.interconnect.crossbar import Crossbar
 from repro.interconnect.messages import (
+    DATA_OPS,
     DEFERRABLE_OPS,
     MEMORY_NODE,
     OWNERSHIP_OPS,
@@ -22,6 +23,7 @@ __all__ = [
     "Crossbar",
     "DataKind",
     "DataMessage",
+    "DATA_OPS",
     "DEFERRABLE_OPS",
     "GrantState",
     "MEMORY_NODE",

@@ -1,16 +1,35 @@
-"""Split-transaction broadcast snooping address bus.
+"""Split-transaction snooping address bus with a snoop filter.
 
 Models the Gigaplane-style address bus of the paper's target (Table 1):
 
 * split address/data — the address phase establishes global coherence
   order; data moves separately on the crossbar;
-* broadcast snooping — every controller observes every transaction, which
-  is what lets the delayed-response/IQOLB protocols build their
-  distributed queue purely from locally observed bus order (paper 3.2);
+* snooping — every transaction takes its place in one bus order that all
+  controllers share, which is what lets the delayed-response/IQOLB
+  protocols build their distributed queue purely from locally observed
+  bus order (paper 3.2);
 * 12-cycle address access latency and a bounded number of outstanding
   transactions (117 in Table 1).
 
 The *issue order* of transactions is the system's global coherence order.
+
+Snoop filter: only a controller that holds state for a line can act on a
+snoop of it, so the bus snoops only those — the hardware analog is a
+snoop filter such as JETTY (Moshovos et al., HPCA 2001).  Per line the
+bus keeps the node ids of the clients that *may* hold state for it, in
+node order; a line that has never resolved snoops every client.  A
+client leaves a line's set when its snoop reply is empty and
+:meth:`BusClient.holds_nothing` confirms it has no state for the line.
+It rejoins at the only two points where it can gain state: its own
+:meth:`AddressBus.request` and a crossbar delivery to it.  The invariant
+is that a client outside a line's set holds nothing for the line, so its
+snoop would return an empty reply with no side effect: skipping it
+changes nothing the simulation computes.  Queued waiters and deferring
+owners always hold state, so the filter never hides a queue participant.
+Writebacks snoop no one (every controller ignores them).  A client whose
+``holds_nothing`` always answers False — the :class:`BusClient` default —
+is never filtered, which is full broadcast: the oracle the filter is
+tested against.
 
 Per-line blocking: while a (non-deferred) fill for a line is in flight,
 further transactions for that same line wait — this models the
@@ -23,6 +42,7 @@ distributed queue can form (paper 3.2).
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
@@ -40,8 +60,14 @@ from repro.interconnect.messages import (
 )
 from repro.mem.mainmemory import MainMemory
 
-#: transactions that move a cache line to the requester
-DATA_OPS = frozenset({BusOp.GETS, BusOp.GETX, BusOp.LPRFO, BusOp.QOLB_ENQ})
+# Identity-test aliases (see repro.interconnect.messages): the issue and
+# resolve paths run once per transaction.
+_GETS = BusOp.GETS
+_GETX = BusOp.GETX
+_UPGRADE = BusOp.UPGRADE
+_LPRFO = BusOp.LPRFO
+_QOLB = BusOp.QOLB_ENQ
+_WRITEBACK = BusOp.WRITEBACK
 
 
 class AddressBus:
@@ -67,7 +93,13 @@ class AddressBus:
         self.max_outstanding = max_outstanding
         self.retry_delay = retry_delay
         self._clients: Dict[int, "BusClient"] = {}
-        self._snoop_order: List = []
+        #: every attached node id, in node order (full broadcast)
+        self._node_ids: List[int] = []
+        #: snoop filter: line -> ids of the clients that may hold state
+        #: for it, in node order; an absent line snoops ``_node_ids``
+        self._holders: Dict[int, List[int]] = {}
+        # A crossbar delivery may give its receiver state for the line.
+        crossbar.on_deliver = self.may_hold
         self._queue: Deque[BusTransaction] = deque()
         self._next_issue_time = 0
         self._issue_scheduled = False
@@ -92,10 +124,24 @@ class AddressBus:
         self._w_txn_rate = stats.windowed("bus.txn_rate")
         #: per-op issue counters ("bus.gets", ...), filled on first use
         self._c_by_op: Dict[BusOp, Counter] = {}
+        self._c_line_conflicts: Optional[Counter] = None
 
     def attach(self, node_id: int, client: "BusClient") -> None:
         self._clients[node_id] = client
-        self._snoop_order = sorted(self._clients.items())
+        self._node_ids = sorted(self._clients)
+        # A line's set never names the new client: restart every line
+        # from full broadcast.
+        self._holders.clear()
+
+    def may_hold(self, node_id: int, line_addr: int) -> None:
+        """Snoop ``node_id`` again for ``line_addr``: it may gain state."""
+        holders = self._holders.get(line_addr)
+        if (
+            holders is not None
+            and node_id not in holders
+            and node_id in self._clients
+        ):
+            insort(holders, node_id)
 
     # ------------------------------------------------------------------
     # Request side
@@ -106,6 +152,7 @@ class AddressBus:
             txn.request_time = self.sim.now
             txn.txn_id = self._next_txn_id
             self._next_txn_id += 1
+        self.may_hold(txn.requester, txn.line_addr)
         self._queue.append(txn)
         self._c_requests.value += 1
         self._pump()
@@ -148,7 +195,8 @@ class AddressBus:
             )
         op_counter.value += 1
         self._w_txn_rate.record(self.sim.now)
-        if txn.op in DATA_OPS:
+        op = txn.op
+        if op is _GETS or op is _GETX or op is _LPRFO or op is _QOLB:
             self._outstanding += 1
             # Block the line until the fill lands (or the response turns
             # out to be deferred, which unblocks at resolve time).
@@ -181,14 +229,22 @@ class AddressBus:
             if (
                 blocker is not None
                 and blocker != txn.txn_id
-                and txn.op is not BusOp.WRITEBACK
+                and txn.op is not _WRITEBACK
             ):
                 # Ownership-granting and data ops alike wait out an
                 # in-flight fill: an UPGRADE crossing a pending fill
                 # would let stale data be installed over a newer write.
                 # (A transaction blocked by itself is a retry; let it in.)
-                self._line_wait.setdefault(txn.line_addr, deque()).append(txn)
-                self.stats.counter("bus.line_conflicts").inc()
+                waiters = self._line_wait.get(txn.line_addr)
+                if waiters is None:
+                    waiters = self._line_wait[txn.line_addr] = deque()
+                waiters.append(txn)
+                conflicts = self._c_line_conflicts
+                if conflicts is None:
+                    conflicts = self._c_line_conflicts = self.stats.counter(
+                        "bus.line_conflicts"
+                    )
+                conflicts.value += 1
                 continue
             return txn
         return None
@@ -206,37 +262,57 @@ class AddressBus:
     # Snoop resolution
     # ------------------------------------------------------------------
     def _resolve(self, txn: BusTransaction) -> None:
-        """Broadcast the snoop and determine the data supplier."""
+        """Snoop the line's possible holders and determine the supplier."""
+        op = txn.op
         if txn.cancelled:
             # Withdrawn after issue (e.g. an UPGRADE whose SC already
             # failed): it must not reach the snoopers — a stale upgrade
             # would invalidate the rightful owner.
             self.stats.counter("bus.cancelled_in_flight").inc()
-            if txn.op in DATA_OPS:
+            if op is _GETS or op is _GETX or op is _LPRFO or op is _QOLB:
                 self._outstanding -= 1
                 self._unblock_line(txn)
             self._pump()
             return
+        line_addr = txn.line_addr
+        requester = txn.requester
         supply_node: Optional[int] = None
         defer_node: Optional[int] = None
         retry = False
         shared = False
-        for node_id, client in self._snoop_order:
-            if node_id == txn.requester:
-                continue
-            reply = client.snoop(txn)
-            if reply.shared:
-                shared = True
-            if reply.supply:
-                if supply_node is not None:
-                    raise RuntimeError(
-                        f"two owners answered {txn}: P{supply_node} and P{node_id}"
-                    )
-                supply_node = node_id
-            if reply.defer and defer_node is None:
-                defer_node = node_id
-            if reply.retry:
-                retry = True
+        if op is _WRITEBACK:
+            snooped: List[int] = []  # every controller ignores writebacks
+        else:
+            snooped = self._holders.get(line_addr)
+            if snooped is None:
+                snooped = self._node_ids  # first resolve of the line
+            clients = self._clients
+            kept: List[int] = []
+            for node_id in snooped:
+                if node_id == requester:
+                    kept.append(node_id)
+                    continue
+                client = clients[node_id]
+                reply = client.snoop(txn)
+                if not (reply.supply or reply.defer or reply.shared or reply.retry):
+                    # Empty reply: filter the client out if it holds nothing.
+                    if not client.holds_nothing(line_addr):
+                        kept.append(node_id)
+                    continue
+                kept.append(node_id)
+                if reply.shared:
+                    shared = True
+                if reply.supply:
+                    if supply_node is not None:
+                        raise RuntimeError(
+                            f"two owners answered {txn}: P{supply_node} and P{node_id}"
+                        )
+                    supply_node = node_id
+                if reply.defer and defer_node is None:
+                    defer_node = node_id
+                if reply.retry:
+                    retry = True
+            self._holders[line_addr] = kept
 
         if supply_node is None and retry:
             # The line is in flight between caches; NACK and reissue — the
@@ -248,12 +324,17 @@ class AddressBus:
         supplier = supply_node if supply_node is not None else defer_node
 
         # Second snoop phase: outcome-dependent reactions (queue breakdown
-        # happens only when an owner actually supplied a regular RFO).
-        if txn.op in (BusOp.GETX, BusOp.UPGRADE):
+        # happens only when an owner actually supplied a regular RFO).  It
+        # walks the clients the first phase snooped; one filtered out
+        # there holds nothing, so its post_snoop would do nothing.
+        if op is _GETX or op is _UPGRADE:
             supplied = supply_node is not None
-            for node_id, client in self._snoop_order:
-                if node_id != txn.requester:
-                    client.post_snoop(txn, supplied=supplied, deferred=deferred)
+            clients = self._clients
+            for node_id in snooped:
+                if node_id != requester:
+                    clients[node_id].post_snoop(
+                        txn, supplied=supplied, deferred=deferred
+                    )
 
         if deferred:
             # The responsible node keeps answering snoops; later same-line
@@ -261,15 +342,15 @@ class AddressBus:
             self._unblock_line(txn)
             self._pump()
 
-        if txn.op is BusOp.WRITEBACK:
+        if op is _WRITEBACK:
             if txn.data is None:
                 raise RuntimeError(f"writeback {txn} carries no data")
-            self.memory.write_line(txn.line_addr, txn.data)
+            self.memory.write_line(line_addr, txn.data)
             self._notify_requester(txn, supplier, shared, deferred)
             self._observe(txn, supplier, shared, deferred)
             return
 
-        if txn.op is BusOp.UPGRADE:
+        if op is _UPGRADE:
             # Permission-only: sharers invalidated during snoop; no data.
             self._notify_requester(txn, supplier, shared, deferred)
             self._observe(txn, supplier, shared, deferred)
@@ -288,7 +369,8 @@ class AddressBus:
         self.stats.counter("bus.retries").inc()
         if txn.retries > 10_000:
             raise RuntimeError(f"{txn} retried {txn.retries} times; wedged")
-        if txn.op in DATA_OPS:
+        op = txn.op
+        if op is _GETS or op is _GETX or op is _LPRFO or op is _QOLB:
             self._outstanding -= 1  # re-incremented at the next issue
         # The line block (keyed by this txn) is retained so parked
         # same-line transactions keep waiting behind us.
@@ -321,7 +403,7 @@ class AddressBus:
 
     def _supply_from_memory(self, txn: BusTransaction, shared: bool) -> None:
         """No cache owner: main memory provides the line."""
-        if txn.op is BusOp.GETS:
+        if txn.op is _GETS:
             grant = GrantState.SHARED if shared else GrantState.EXCLUSIVE
         else:
             grant = GrantState.EXCLUSIVE
@@ -341,6 +423,17 @@ class AddressBus:
 
 class BusClient:
     """Interface controllers implement to sit on the address bus."""
+
+    def holds_nothing(self, line_addr: int) -> bool:
+        """True only if this client has no state at all for ``line_addr``.
+
+        The bus then stops snooping it for the line until it requests the
+        line or receives a message for it.  Answering True is a promise
+        that a snoop of the line would return an empty reply and change
+        nothing.  The default never makes it, so the client sees every
+        transaction (full broadcast).
+        """
+        return False
 
     def snoop(self, txn: BusTransaction) -> SnoopReply:  # pragma: no cover
         raise NotImplementedError

@@ -10,7 +10,7 @@ tear-off words and ownership-return tokens — cost less than full lines.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from repro.engine.simulator import Simulator
 from repro.engine.stats import StatsRegistry
@@ -39,6 +39,10 @@ class Crossbar:
         #: optional fault injector (repro.check.faults) — may delay a
         #: message before it claims its ports, or drop it outright.
         self.fault_hook = None
+        #: called as ``on_deliver(node, line_addr)`` just before a message
+        #: reaches ``node``; the address bus sets it so its snoop filter
+        #: snoops the receiver again, since it may now hold the line.
+        self.on_deliver: Optional[Callable[[int, int], None]] = None
 
     def attach(self, node_id: int, receiver: Callable[[DataMessage], None]) -> None:
         """Register the delivery callback for a node (or memory)."""
@@ -84,4 +88,8 @@ class Crossbar:
         return delivery
 
     def _deliver(self, msg: DataMessage) -> None:
+        # On delivery, not on send: a pushed line's receiver may be
+        # filtered out of the line's snoops while the line is in flight.
+        if self.on_deliver is not None:
+            self.on_deliver(msg.dst, msg.line_addr)
         self._receivers[msg.dst](msg)

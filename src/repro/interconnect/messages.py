@@ -34,6 +34,16 @@ OWNERSHIP_OPS = frozenset({BusOp.GETX, BusOp.UPGRADE, BusOp.LPRFO, BusOp.QOLB_EN
 #: Bus operations whose response the owner may legally defer.
 DEFERRABLE_OPS = frozenset({BusOp.LPRFO, BusOp.QOLB_ENQ})
 
+#: Bus operations that move a cache line to the requester.
+DATA_OPS = frozenset({BusOp.GETS, BusOp.GETX, BusOp.LPRFO, BusOp.QOLB_ENQ})
+
+# The bus and controller hot paths test these sets as identity chains on
+# module-level aliases of the members (``op is _LPRFO or op is _QOLB``):
+# frozenset membership calls the Python-level ``Enum.__hash__`` and class
+# attribute access on an enum costs about as much again.  The sets above
+# stay the canonical definitions; tests/test_snoop_filter.py pins every
+# chain to them.
+
 
 class BusTransaction:
     """One address-bus broadcast.

@@ -1,8 +1,11 @@
 """Tests for the parallel runner and the content-addressed result cache."""
 
+import dataclasses
 import functools
 import json
 import os
+
+import pytest
 
 import repro
 from repro.core.registry import get_primitive
@@ -21,6 +24,13 @@ fast_factory = functools.partial(
 
 #: Shrunk raytrace model: total_work must divide n_procs x phases.
 FAST_MODEL = {"total_work": 64, "local_compute": 200, "serial_compute": 500}
+
+
+class ExplodingCell(NullCriticalSection):
+    """A cell whose simulation raises partway through a batch."""
+
+    def build(self, system):
+        raise RuntimeError("cell exploded")
 
 
 def make_spec(primitive="iqolb", n=2, verify=True, factory=fast_factory):
@@ -182,6 +192,26 @@ class TestCache:
             assert rerun.runner_stats.executed == 1
             assert rerun.runner_stats.cache_hits == 0
             assert rerun.cell("tts", 2).cycles > 0
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_raising_cell_keeps_earlier_cells(self, tmp_path, n_jobs):
+        """Cells finished before a raising one are cached, serial or pooled."""
+        cache = ResultCache(tmp_path)
+        specs = [
+            make_spec("tts", 2),
+            make_spec("iqolb", 2),
+            dataclasses.replace(
+                make_spec("iqolb", 2, factory=ExplodingCell), key="exploding"
+            ),
+            make_spec("tts", 4),
+        ]
+        with pytest.raises(RuntimeError, match="cell exploded"):
+            run_cells(specs, n_jobs=n_jobs, cache=cache)
+        cached = [cache.get(cache.key(spec.describe())) for spec in specs]
+        assert cached[0] is not None and cached[1] is not None
+        assert cached[2] is None
+        grid, stats = run_cells(specs[:2], cache=cache)
+        assert stats.cache_hits == 2 and stats.executed == 0
 
     def test_get_on_missing_key_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
